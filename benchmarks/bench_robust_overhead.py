@@ -29,11 +29,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.exec.supervisor import SupervisorPolicy, run_supervised
-from repro.experiments import runner as runner_module
 from repro.experiments.runner import (
     ExperimentScale,
     SweepSpec,
-    _pool_job,
+    _run_job,
     _sweep_jobs,
 )
 from repro.system import SystemConfig
@@ -68,6 +67,19 @@ def make_spec() -> SweepSpec:
     return SweepSpec(knob="record size", points=points)
 
 
+#: Spec the forked pool workers inherit (set around each timed run).
+_SPEC: SweepSpec | None = None
+
+
+def _pool_job(job):
+    return _run_job(_SPEC, job)
+
+
+def _set_spec(spec):
+    global _SPEC
+    _SPEC = spec
+
+
 def measurement_key(measurement):
     return (measurement.exec_time, measurement.fs_bytes,
             len(measurement.trace))
@@ -77,17 +89,17 @@ def run_plain_pool(spec, jobs):
     """The pre-supervision model: ProcessPoolExecutor.map, fork start."""
     import multiprocessing
     ctx = multiprocessing.get_context("fork")
-    runner_module._WORKER_SPEC = spec
+    _set_spec(spec)
     try:
         with ProcessPoolExecutor(max_workers=WORKERS,
                                  mp_context=ctx) as pool:
             return list(pool.map(_pool_job, jobs))
     finally:
-        runner_module._WORKER_SPEC = None
+        _set_spec(None)
 
 
 def run_supervised_pool(spec, jobs, *, checkpoint=None):
-    runner_module._WORKER_SPEC = spec
+    _set_spec(spec)
     try:
         if checkpoint is None:
             results, _ = run_supervised(jobs, _pool_job,
@@ -111,7 +123,7 @@ def run_supervised_pool(spec, jobs, *, checkpoint=None):
             journal.close()
         return results
     finally:
-        runner_module._WORKER_SPEC = None
+        _set_spec(None)
 
 
 #: Wall-time rounds per flavour; the minimum is compared.  Shared CI

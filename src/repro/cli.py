@@ -551,7 +551,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         bins=args.bins,
         block_size=args.block_size,
         speed=args.speed,
-        chunk_size=args.chunk_size or None,
         workers=args.workers,
         sinks=sinks,
         sink_errors=args.sink_errors,
@@ -656,20 +655,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         BpsServer,
         ServeConfig,
         TenantBudget,
-        resolve_serve_ingest,
+        resolve_serve_workers,
         run_server,
     )
     tcp, unix, http = args.tcp, args.unix, args.http
     if not (tcp or unix or http):
         tcp = "127.0.0.1:4040"
-    chunk_size, workers = resolve_serve_ingest(
-        args.chunk_size, args.workers)
+    workers = resolve_serve_workers(args.workers)
     max_bytes = parse_size(args.max_bytes_per_sec) \
         if args.max_bytes_per_sec else None
     budget = TenantBudget(
         max_bytes_per_sec=max_bytes,
         max_records_per_sec=args.max_records_per_sec or None,
-        max_pending=args.max_pending,
         burst_seconds=args.burst_seconds,
         shed_factor=args.shed_factor,
         evict_after_sheds=args.evict_after_sheds or None,
@@ -680,7 +677,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         budget=budget,
         error_mode=args.on_error,
         max_error_ratio=args.max_error_ratio,
-        chunk_size=chunk_size,
         workers=workers,
         idle_timeout=args.idle_timeout if args.idle_timeout > 0 else None,
         max_tenants=args.max_tenants,
@@ -940,14 +936,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="FACTOR|max",
                        help="pacing: 1 = real time, 10 = 10x faster, "
                             "max = no pacing (default max)")
-    watch.add_argument("--chunk-size", type=int, default=0,
-                       help="deliver records as columnar chunks of this "
-                            "many rows (vectorised ingest, ~10x the "
-                            "per-record rate); 0 = per-record")
     watch.add_argument("--workers", type=int, default=0,
-                       help="shard chunked ingest across N worker "
-                            "processes (implies --chunk-size 4096 "
-                            "unless set); 0 or 1 = in-process")
+                       help="shard ingest across N worker processes; "
+                            "0 or 1 = in-process")
     watch.add_argument("--block-size", type=int, default=512,
                        help="BPS block unit in bytes (default 512)")
     watch.add_argument("--exec-time", type=float, default=None,
@@ -1059,10 +1050,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-records-per-sec", type=float, default=0,
                        help="per-tenant ingest budget in records/s "
                             "(default unlimited)")
-    serve.add_argument("--max-pending", type=int, default=4096,
-                       help="per-tenant reorder-heap bound; overflow "
-                            "forces the watermark (exact totals, "
-                            "degraded lateness tolerance; default 4096)")
     serve.add_argument("--burst-seconds", type=float, default=1.0,
                        help="token-bucket depth in seconds of budget "
                             "(default 1.0)")
@@ -1085,14 +1072,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--prom-out", default="",
                        help="also maintain the aggregated Prometheus "
                             "exposition as a textfile at this path")
-    serve.add_argument("--chunk-size", type=int, default=None,
-                       help="buffer each tenant's records into columnar "
-                            "chunks of this many rows (vectorised "
-                            "ingest); 0 = per-record; bad values are "
-                            "clamped with a warning (env "
-                            "REPRO_SERVE_CHUNK_SIZE)")
     serve.add_argument("--workers", type=int, default=None,
-                       help="shard each tenant's chunked ingest across "
+                       help="shard each tenant's ingest across "
                             "N worker processes; 0/1 = in-process; "
                             "clamped to the machine's cores with a "
                             "warning (env REPRO_SERVE_WORKERS)")

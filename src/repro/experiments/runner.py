@@ -48,6 +48,7 @@ from repro.core.analysis import RunMeasurement, SweepAnalysis
 from repro.errors import ExperimentError
 from repro.exec.backends import (
     AsyncBackend,
+    ForkBackend,
     GridTask,
     SocketBackend,
     import_ref,
@@ -64,7 +65,6 @@ from repro.exec.supervisor import (
     SupervisionReport,
     SupervisorPolicy,
     fork_available,
-    run_supervised,
 )
 from repro.system import SystemConfig
 from repro.workloads.base import Workload
@@ -114,10 +114,6 @@ class SweepSpec:
             )
 
 
-#: Spec visible to forked pool workers (inherited memory, not pickled).
-_WORKER_SPEC: SweepSpec | None = None
-
-
 def _run_job(spec: SweepSpec, job: tuple[int, int]) -> RunMeasurement:
     """Execute one (point, seed) cell of the sweep grid."""
     point_index, seed = job
@@ -126,10 +122,6 @@ def _run_job(spec: SweepSpec, job: tuple[int, int]) -> RunMeasurement:
     # instances) because workload objects hold per-run state.
     workload = make_workload()
     return workload.run(config.with_seed(seed))
-
-
-def _pool_job(job: tuple[int, int]) -> RunMeasurement:
-    return _run_job(_WORKER_SPEC, job)
 
 
 def _cells_from_builder(builder: str, args: tuple = (),
@@ -262,7 +254,6 @@ def run_sweep(spec: SweepSpec, scale: ExperimentScale, *,
     returned analysis as ``analysis.supervision``
     (:class:`~repro.exec.supervisor.SupervisionReport`).
     """
-    global _WORKER_SPEC
     backend_name = resolve_backend(backend)
     if backend_name == "socket":
         if grid_workers is None:
@@ -313,17 +304,10 @@ def run_sweep(spec: SweepSpec, scale: ExperimentScale, *,
             if not engage:
                 for position, index in enumerate(todo):
                     on_result(position, _run_job(spec, jobs[index]))
-            elif backend_name == "fork":
-                _WORKER_SPEC = spec
-                try:
-                    _results, report = run_supervised(
-                        [jobs[i] for i in todo], _pool_job,
-                        workers=min(pool_size, len(todo)),
-                        policy=policy, on_result=on_result)
-                finally:
-                    _WORKER_SPEC = None
             else:
-                if backend_name == "socket":
+                if backend_name == "fork":
+                    exec_backend = ForkBackend(min(pool_size, len(todo)))
+                elif backend_name == "socket":
                     token = grid_token if grid_token is not None \
                         else os.environ.get("REPRO_GRID_TOKEN") or None
                     hb, lv = resolve_liveness(grid_heartbeat,

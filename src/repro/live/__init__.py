@@ -4,12 +4,13 @@ The offline methodology (gather every record, then one sort+merge
 sweep, paper §III.B/Fig. 3) becomes an online pipeline:
 
 - :mod:`repro.live.union` — :class:`StreamingUnion`, the incremental
-  interval-union accumulator (bounded reorder buffer + watermark),
+  interval-union accumulator (batch merge sweep + watermark),
   provably — and bit-for-bit — equal to the batch
   :func:`~repro.core.intervals.union_time`;
 - :mod:`repro.live.stream` — :class:`MetricStream`, per-window and
   cumulative BPS/IOPS/bandwidth/ARPT series with per-pid / per-op /
-  per-server breakdowns;
+  per-server breakdowns, folded in chunk by chunk (record-at-a-time
+  ``ingest`` buffers into chunks);
 - :mod:`repro.live.anomaly` — :class:`BpsAnomalyDetector`, rolling-
   baseline drop detection over closed windows;
 - :mod:`repro.live.sinks` — pluggable telemetry sinks (in-memory,
@@ -17,8 +18,7 @@ sweep, paper §III.B/Fig. 3) becomes an online pipeline:
   :class:`FailSafeSink`, the error-policy wrapper that keeps a dying
   sink from corrupting the metric stream;
 - :mod:`repro.live.chunk` — :class:`RecordChunk`, the columnar wire
-  format behind :meth:`MetricStream.push_chunk`, the vectorised bulk
-  ingest path (~10x the per-record rate);
+  format behind :meth:`MetricStream.push_chunk`, the one fold path;
 - :mod:`repro.live.shard` — :class:`ShardedMetricStream`, chunked
   ingest fanned out over N forked worker processes and re-merged at
   the watermark, bit-identical to batch at any shard count;
@@ -30,7 +30,7 @@ sweep, paper §III.B/Fig. 3) becomes an online pipeline:
 
 from repro.live.anomaly import Anomaly, BpsAnomalyDetector
 from repro.live.chunk import RecordChunk, chunk_trace
-from repro.live.replay import completion_order, watch_trace
+from repro.live.replay import watch_trace
 from repro.live.shard import ShardedMetricStream
 from repro.live.sinks import (
     FailSafeSink,
@@ -70,5 +70,4 @@ __all__ = [
     "format_prometheus",
     "LiveTap",
     "watch_trace",
-    "completion_order",
 ]

@@ -1,32 +1,29 @@
-"""Columnar record chunks — the wire format of the vectorised hot path.
+"""Columnar record chunks — the wire format of the one fold path.
 
-The per-record streaming path (:meth:`~repro.live.stream.MetricStream.ingest`)
-spends its time in Python bookkeeping, not in the union sweep: the
-``bench_perf_streaming`` profile shows the bare
-:class:`~repro.live.union.StreamingUnion` sustaining ~0.9M rec/s while
-the full stream crawls at ~85k.  :class:`RecordChunk` closes that gap by
-moving records in *columns*: one NumPy array per field, mirroring the
-:meth:`~repro.core.records.TraceCollection.to_columns` layout, so
-windows, breakdowns, and the union all update with array ops
-(:meth:`~repro.live.stream.MetricStream.push_chunk`) instead of one
-Python frame per record.
+:class:`RecordChunk` moves records in *columns*: one NumPy array per
+field, mirroring the :meth:`~repro.core.records.TraceCollection.to_columns`
+layout, so windows, breakdowns, and the union all update with array
+ops (:meth:`~repro.live.stream.MetricStream.push_chunk`) instead of one
+Python frame per record.  Record-at-a-time delivery
+(:meth:`~repro.live.stream.MetricStream.ingest`) buffers rows and folds
+them in through the same path.
 
 Exactness contract
 ------------------
 
 Chunked ingest preserves the subsystem's headline guarantee: the
 cumulative union time, BPS, IOPS, and bandwidth are **bit-identical** to
-both per-record ingest and the batch
-:func:`~repro.core.metrics.compute_metrics` — those quantities are
-ratios of exact integer totals over the canonical-union time, and the
-canonical union does not depend on how its inputs were grouped.  Two
-quantities are exact only to float *re-association*: the cumulative
-duration sum behind ARPT, and the overlap-proportional per-window
-block/byte masses (a window whose mass spans a chunk boundary receives
-``(a + b) + (c + d)`` where the per-record path computed
-``((a + b) + c) + d``).  Per-window *I/O times* stay exact — clipped
-interval endpoints are selected, never computed, and the per-window
-union is order-independent.  The property suite pins all of this down
+the batch :func:`~repro.core.metrics.compute_metrics` however the rows
+are cut into chunks — those quantities are ratios of exact integer
+totals over the canonical-union time, and the canonical union does not
+depend on how its inputs were grouped.  Two quantities depend on the
+cut only up to float *re-association*: the cumulative duration sum
+behind ARPT, and the overlap-proportional per-window block/byte masses
+(a window whose mass spans a chunk boundary receives
+``(a + b) + (c + d)`` where another cut computes ``((a + b) + c) + d``).
+Per-window *I/O times* stay exact — clipped interval endpoints are
+selected, never computed, and the per-window union is
+order-independent.  The property suite pins all of this down
 (``tests/live/test_chunked_properties.py``).
 """
 
@@ -186,7 +183,7 @@ class RecordChunk:
             success=self.success[index], retries=self.retries[index])
 
     def records(self) -> Iterator[IORecord]:
-        """Materialise rows (fallback for non-columnar group keys)."""
+        """Materialise rows (the attribution graph folds row by row)."""
         for k in range(len(self)):
             yield IORecord(
                 pid=int(self.pid[k]), op=str(self.op[k]),
@@ -205,10 +202,8 @@ def chunk_trace(trace: TraceCollection, *, chunk_size: int,
     """Slice a trace into :class:`RecordChunk` batches.
 
     ``order`` is "completion" (end-time order — what a live tracer
-    emits, and what ``bps watch`` replays) or "record" (storage order).
-    The completion permutation matches
-    :func:`repro.live.replay.completion_order` exactly: a stable sort on
-    ``(end, start)``.
+    emits, and what ``bps watch`` replays: a stable sort on ``(end,
+    start)``) or "record" (storage order).
     """
     if chunk_size < 1:
         raise LiveStreamError(

@@ -2,31 +2,31 @@
 
 Any supported trace format becomes a completion stream: records are
 delivered in **end-time order** (the order a real tracer would emit
-them as operations finish), optionally paced against the wall clock so
-a 30-second trace takes 30 seconds (``speed=1.0``), 3 seconds
-(``speed=10``), or no time at all (``speed=None`` — the ``--speed
-max`` mode CI uses to check streamed-equals-batch).
+them as operations finish), as columnar chunks of up to
+:data:`~repro.live.stream.CHUNK_ROWS` rows through
+:meth:`~repro.live.stream.MetricStream.push_chunk`, optionally paced
+against the wall clock so a 30-second trace takes 30 seconds
+(``speed=1.0``), 3 seconds (``speed=10``), or no time at all
+(``speed=None`` — the ``--speed max`` mode CI uses to check
+streamed-equals-batch).  A paced replay also cuts chunks at every
+pacing quantum, so windows still close as the wall clock reaches
+them.
 
-The watermark follows delivery: after delivering a record ending at
-``e``, no future record *ends* before ``e``, so any future *start* is
-above ``e - D`` where ``D`` is the longest request duration.  The
-replayer tracks the running maximum duration and advances the
-watermark to ``e - max_duration_seen`` — adaptive lag, no
+The watermark follows delivery: after delivering a chunk whose last
+record ends at ``e``, no future record *ends* before ``e``, so any
+future *start* is above ``e - D`` where ``D`` is the longest request
+duration.  The replayer tracks the running maximum duration and
+advances the watermark to ``e - max_duration_seen`` — adaptive lag, no
 configuration.  A pathological trace whose longest request appears
 last still settles exactly: stragglers fold in late (cumulative
 metrics are order-independent) and windows are corrected at finalize.
 
 Pacing is **batched**: owed trace time accumulates across deliveries
-and is slept only once it reaches :data:`PACE_QUANTUM` (wall seconds).
-One ``sleep()`` per record made the replayer syscall-bound — at
-``--speed max`` ambitions a 1M-record trace meant 1M timer calls for
-gaps far below clock resolution; batching keeps total slept time
-identical while making the sleep count proportional to replayed
-duration, not record count.  ``chunk_size`` switches delivery to
-columnar :meth:`~repro.live.stream.MetricStream.push_chunk` batches
-(the vectorised path), and ``workers >= 2`` fans those chunks out over
-a :class:`~repro.live.shard.ShardedMetricStream`; all three paths
-settle the same cumulative metrics bit-for-bit.
+and is slept only once it reaches :data:`PACE_QUANTUM` (wall seconds),
+so the sleep count is proportional to replayed duration, not record
+count.  ``workers >= 2`` fans the chunks out over a
+:class:`~repro.live.shard.ShardedMetricStream`; both paths settle the
+same cumulative metrics bit-for-bit.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.errors import LiveStreamError
 from repro.live.chunk import chunk_trace
 from repro.live.shard import ShardedMetricStream
 from repro.live.sinks import apply_sink_policy
-from repro.live.stream import LiveResult, MetricStream
+from repro.live.stream import CHUNK_ROWS, LiveResult, MetricStream
 
 #: Owed wall time below which the pacer keeps accumulating instead of
 #: sleeping — one quantum-sized sleep replaces hundreds of sub-
@@ -60,13 +60,6 @@ class _CallbackSink:
     def emit(self, event: dict) -> None:
         if event.get("type") in self._kinds:
             self._callback(event)
-
-
-def completion_order(trace: TraceCollection):
-    """The trace's records sorted by completion (end, then start)."""
-    records = list(trace)
-    records.sort(key=lambda r: (r.end, r.start))
-    return records
 
 
 class _Pacer:
@@ -92,6 +85,17 @@ class _Pacer:
             self.sleep(self._owed)
             self._owed = 0.0
 
+    def split(self, chunk) -> list:
+        """Cut ``chunk`` at every pacing quantum of trace time, so a
+        paced replay delivers rows as the wall clock reaches them."""
+        if self.speed is None:
+            return [chunk]
+        tick = np.floor(chunk.end / (PACE_QUANTUM * self.speed))
+        cuts = [0, *(np.flatnonzero(np.diff(tick)) + 1).tolist(),
+                len(chunk)]
+        return [chunk.select(slice(lo, hi))
+                for lo, hi in zip(cuts, cuts[1:])]
+
 
 def watch_trace(
     trace: TraceCollection,
@@ -102,7 +106,6 @@ def watch_trace(
     block_size: int = 512,
     speed: float | None = None,
     watermark_lag: float | None = None,
-    chunk_size: int | None = None,
     workers: int = 0,
     sinks: Iterable = (),
     sink_errors: str | None = None,
@@ -137,13 +140,10 @@ def watch_trace(
     Attribution needs the full record stream in one process and is
     rejected with ``workers >= 2``.
 
-    ``chunk_size`` selects the vectorised ingest: records are delivered
-    as columnar chunks of that many rows (still in completion order)
-    instead of one at a time.  ``workers >= 2`` additionally shards the
-    chunks across that many forked worker processes
-    (:class:`~repro.live.shard.ShardedMetricStream`; falls back to one
-    in-process stream where ``fork`` is unavailable).  Cumulative
-    metrics are bit-identical on every path.
+    ``workers >= 2`` shards the chunks across that many forked worker
+    processes (:class:`~repro.live.shard.ShardedMetricStream`; falls
+    back to one in-process stream where ``fork`` is unavailable).
+    Cumulative metrics are bit-identical either way.
     """
     if len(trace) == 0:
         raise LiveStreamError("cannot watch an empty trace")
@@ -152,8 +152,6 @@ def watch_trace(
     if watermark_lag is not None and watermark_lag <= 0:
         raise LiveStreamError(
             f"watermark lag must be > 0, got {watermark_lag}")
-    if chunk_size is not None and chunk_size < 1:
-        raise LiveStreamError(f"chunk size must be >= 1, got {chunk_size}")
     if workers < 0:
         raise LiveStreamError(f"worker count must be >= 0, got {workers}")
     first, last = trace.span()
@@ -195,43 +193,26 @@ def watch_trace(
     # settle windows early (orphaning still-arriving records from
     # their attribution buckets).
     stream_lag = 0.0 if watermark_lag is None else watermark_lag
-    if workers >= 2 or chunk_size is not None:
-        size = chunk_size if chunk_size is not None else 4096
-        if workers >= 2:
-            stream = ShardedMetricStream(
-                window=window, shards=workers, block_size=block_size,
-                origin=origin, sinks=stream_sinks, detector=detector,
-                watermark_lag=stream_lag)
-        else:
-            stream = MetricStream(
-                window=window, block_size=block_size, origin=origin,
-                late_policy="merge", sinks=stream_sinks,
-                detector=detector, attributor=attributor,
-                watermark_lag=stream_lag)
-        max_duration = 0.0
-        for chunk in chunk_trace(trace, chunk_size=size,
-                                 order="completion"):
+    if workers >= 2:
+        stream = ShardedMetricStream(
+            window=window, shards=workers, block_size=block_size,
+            origin=origin, sinks=stream_sinks, detector=detector,
+            watermark_lag=stream_lag)
+    else:
+        stream = MetricStream(
+            window=window, block_size=block_size, origin=origin,
+            late_policy="merge", sinks=stream_sinks, detector=detector,
+            attributor=attributor, watermark_lag=stream_lag)
+    max_duration = 0.0
+    for whole in chunk_trace(trace, chunk_size=CHUNK_ROWS,
+                             order="completion"):
+        for chunk in pacer.split(whole):
             chunk_last = float(chunk.end[-1])
             pacer.pace(chunk_last)
             top = float(np.max(chunk.end - chunk.start))
             if top > max_duration:
                 max_duration = top
             stream.push_chunk(chunk)
-            lag = (max_duration if watermark_lag is None
-                   else watermark_lag)
+            lag = max_duration if watermark_lag is None else watermark_lag
             stream.advance_watermark(chunk_last - lag)
-        return stream.finalize(exec_time=exec_time, label="watch")
-
-    stream = MetricStream(
-        window=window, block_size=block_size, origin=origin,
-        late_policy="merge", sinks=stream_sinks, detector=detector,
-        attributor=attributor, watermark_lag=stream_lag)
-    max_duration = 0.0
-    for record in completion_order(trace):
-        pacer.pace(record.end)
-        if record.duration > max_duration:
-            max_duration = record.duration
-        stream.ingest(record)
-        lag = max_duration if watermark_lag is None else watermark_lag
-        stream.advance_watermark(record.end - lag)
     return stream.finalize(exec_time=exec_time, label="watch")

@@ -18,7 +18,7 @@ process ingest does (see :mod:`repro.live.chunk`).
 Protocol (parent -> shard / shard -> parent, pickled over the pipe):
 
 - ``("chunk", RecordChunk)`` — ingest one columnar sub-chunk;
-- ``("sync", watermark | None)`` — advance to the external watermark
+- ``("sync", watermark)`` — advance to the external watermark
   and reply ``("synced", {"watermark", "snapshot"})``: the shard's
   settled-start watermark plus its full
   :meth:`~repro.live.stream.MetricStream.partial_state` (compacting —
@@ -61,6 +61,7 @@ from repro.live.stream import (
     LiveSnapshot,
     MetricStream,
     WindowStats,
+    _Accumulator,
 )
 from repro.util.units import BLOCK_SIZE
 
@@ -87,11 +88,8 @@ def _shard_main(conn, shard_index: int, generation: int,
                     first_chunk = False
                     _maybe_sabotage(shard_index, generation)
                 stream.push_chunk(payload)
-            elif kind == "advance":
-                stream.advance_watermark(payload)
             elif kind == "sync":
-                if payload is not None:
-                    stream.advance_watermark(payload)
+                stream.advance_watermark(payload)
                 conn.send(("synced", {
                     "watermark": stream.watermark,
                     "snapshot": stream.partial_state(compact=True),
@@ -127,14 +125,15 @@ class _Shard:
         self.watermark = -math.inf
 
 
-class ShardedMetricStream:
+class ShardedMetricStream(_Accumulator):
     """Chunked live metrics fanned out over N worker processes.
 
     Accepts the same columnar :class:`~repro.live.chunk.RecordChunk`
-    batches as :meth:`MetricStream.push_chunk` and settles the same
-    :class:`~repro.live.stream.LiveResult`.  With ``shards <= 1`` or no
-    ``fork`` support the engine degrades to one in-process
-    :class:`MetricStream` — same API, no processes.
+    batches as :meth:`MetricStream.push_chunk` — and, through the same
+    ingest buffer, the same record-at-a-time :meth:`ingest` — and
+    settles the same :class:`~repro.live.stream.LiveResult`.  With
+    ``shards <= 1`` or no ``fork`` support the engine degrades to one
+    in-process :class:`MetricStream` — same API, no processes.
 
     ``partition`` is ``"hash"`` (``pid % shards`` — a process's records
     stay on one shard, so per-pid breakdowns never cross-merge) or
@@ -154,14 +153,12 @@ class ShardedMetricStream:
         sync_every: int = 8,
         sync_timeout: float = 60.0,
         max_respawns: int = 4,
-        max_pending: int | None = None,
         watermark_lag: float = 0.0,
         late_policy: str = "merge",
         sinks: Iterable = (),
         sink_errors: str | None = None,
         sink_max_failures: int = 5,
         detector=None,
-        group_by: dict | None = None,
         group_columns: dict | None = None,
     ) -> None:
         if shards < 1:
@@ -186,9 +183,9 @@ class ShardedMetricStream:
         self.anomalies: list = []
         self._stream_kwargs = dict(
             window=window, block_size=block_size,
-            max_pending=max_pending, watermark_lag=watermark_lag,
-            late_policy=late_policy, group_by=group_by,
+            watermark_lag=watermark_lag, late_policy=late_policy,
             group_columns=group_columns)
+        self._init_accumulator(watermark_lag)
         self.shards = shards if fork_available() else 1
         self._inline: MetricStream | None = None
         if self.shards <= 1:
@@ -198,7 +195,7 @@ class ShardedMetricStream:
         self._shards = [_Shard() for _ in range(self.shards)]
         self._started = False
         self._chunks_since_sync = 0
-        self._external_watermark: float | None = None
+        self._external_watermark = -math.inf
         self._next_emit: int | None = None
         self._respawns = 0
         self._finalized = False
@@ -276,15 +273,32 @@ class ShardedMetricStream:
             (chunk.start - self.origin) / self.window).astype(np.int64)
         return index % self.shards
 
+    def ingest(self, record) -> None:
+        """Deliver one completed I/O record (buffered into chunks)."""
+        if self._inline is not None:
+            self._inline.ingest(record)
+            return
+        self._add_row(record)
+
     def push_chunk(self, chunk) -> None:
         """Partition one columnar chunk across the shard workers."""
-        if self._finalized:
-            raise LiveStreamError("push_chunk() after finalize()")
         if self._inline is not None:
             self._inline.push_chunk(chunk)
             return
-        if len(chunk) == 0:
+        self._push(chunk)
+
+    def advance_watermark(self, to: float) -> None:
+        """Promise no future record starts below ``to``.
+
+        Broadcast to the shards with the next sync — watermark progress
+        is chunk-granular in the sharded engine by design.
+        """
+        if self._inline is not None:
+            self._inline.advance_watermark(to)
             return
+        self._advance(to)
+
+    def _fold(self, chunk) -> None:
         if not self._started:
             self._start_workers(chunk)
         self._ops_pushed += len(chunk)
@@ -300,16 +314,8 @@ class ShardedMetricStream:
         if self._chunks_since_sync >= self.sync_every:
             self.sync()
 
-    def advance_watermark(self, to: float) -> None:
-        """Promise no future record starts below ``to``.
-
-        Broadcast to the shards with the next sync — watermark progress
-        is chunk-granular in the sharded engine by design.
-        """
-        if self._inline is not None:
-            self._inline.advance_watermark(to)
-            return
-        if self._external_watermark is None or to > self._external_watermark:
+    def _apply_watermark(self, to: float) -> None:
+        if to > self._external_watermark:
             self._external_watermark = to
 
     def sync(self) -> None:
@@ -416,15 +422,17 @@ class ShardedMetricStream:
 
     # -- snapshot hooks ----------------------------------------------------
     # The monitoring surface `bps serve` (and anything else holding a
-    # long-lived sharded stream) reads between chunks.  Counters are
-    # parent-side and exact; heap/lateness figures come from the last
-    # shard checkpoints, i.e. they are sync-granular by design.
+    # long-lived sharded stream) reads between chunks.  Each read first
+    # pushes the ingest buffer out; counters are parent-side and exact,
+    # lateness comes from the last shard checkpoints, i.e. it is
+    # sync-granular by design.
 
     @property
     def ops(self) -> int:
         """Records accepted so far (parent-side, exact)."""
         if self._inline is not None:
             return self._inline.ops
+        self._flush()
         return self._ops_pushed
 
     @property
@@ -432,6 +440,7 @@ class ShardedMetricStream:
         """Bytes accepted so far (parent-side, exact)."""
         if self._inline is not None:
             return self._inline.nbytes
+        self._flush()
         return self._bytes_pushed
 
     @property
@@ -439,34 +448,8 @@ class ShardedMetricStream:
         """Late arrivals across shards, as of the last checkpoints."""
         if self._inline is not None:
             return self._inline.late_records
+        self._flush()
         return sum(s["late_records"] for s in self._states())
-
-    @property
-    def forced_watermarks(self) -> int:
-        """Heap-bound forced watermarks, as of the last checkpoints."""
-        if self._inline is not None:
-            return self._inline.forced_watermarks
-        return sum(s["forced_watermarks"] for s in self._states())
-
-    @property
-    def max_pending(self) -> int:
-        """Per-shard reorder-heap bound (each shard holds its own heap)."""
-        if self._inline is not None:
-            return self._inline.max_pending
-        configured = self._stream_kwargs["max_pending"]
-        return 4096 if configured is None else configured
-
-    @property
-    def pending_records(self) -> int:
-        """Records sent to shards but not yet checkpointed.
-
-        The parent cannot see inside a worker's reorder heap without a
-        round-trip, so "pending" is reported at its own granularity:
-        everything pushed since the shards' last snapshots.
-        """
-        if self._inline is not None:
-            return self._inline.pending_records
-        return self._ops_pushed - sum(s["ops"] for s in self._states())
 
     def snapshot(self, *, emit: bool = False) -> LiveSnapshot:
         """Exact cumulative metrics at this instant.
@@ -479,6 +462,7 @@ class ShardedMetricStream:
         """
         if self._inline is not None:
             return self._inline.snapshot(emit=emit)
+        self._flush()
         self.sync()
         states = self._states()
         ops = sum(s["ops"] for s in states)
@@ -523,6 +507,7 @@ class ShardedMetricStream:
         if self._inline is not None:
             self._finalized = True
             return self._inline.finalize(exec_time=exec_time, label=label)
+        self._flush()
         if not self._started:
             raise LiveStreamError("finalize() on an empty stream")
         states = []
@@ -560,7 +545,6 @@ class ShardedMetricStream:
         retries = sum(s["retries"] for s in states)
         late = sum(s["late_records"] for s in states)
         late_windows = sum(s["late_window_updates"] for s in states)
-        forced = sum(s["forced_watermarks"] for s in states)
         first_start = min(s["first_start"] for s in states)
         last_end = max(s["last_end"] for s in states)
 
@@ -667,7 +651,6 @@ class ShardedMetricStream:
                 "total_retries": retries,
                 "late_records": late,
                 "late_window_updates": late_windows,
-                "forced_watermarks": forced,
                 "shards": self.shards,
                 "shard_respawns": self._respawns,
             },

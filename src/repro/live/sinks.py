@@ -76,14 +76,6 @@ def _format_prom_labels(labels: dict) -> str:
     return ",".join(f'{k}="{v}"' for k, v in labels.items())
 
 
-def _normalize_state(state) -> tuple:
-    """Pad a legacy 4-tuple state with ``last_severity=None``."""
-    state = tuple(state)
-    if len(state) == 4:
-        return state + (None,)
-    return state
-
-
 def format_prometheus(states, *, prefix_help: bool = True) -> str:
     """Render Prometheus text exposition for one or more metric states.
 
@@ -94,11 +86,11 @@ def format_prometheus(states, *, prefix_help: bool = True) -> str:
     label pairs (e.g. ``{"tenant": "a"}``) merged before the ``scope``
     label; ``last_severity`` is the most recent anomaly's severity
     (``math.inf`` for a stalled window, None when nothing has flagged
-    yet — the gauge is omitted).  Legacy 4-tuples without the severity
-    slot are accepted.  The file sink and the HTTP endpoint both call
-    this, so the two expositions are identical by construction.
+    yet — the gauge is omitted).  The file sink and the HTTP endpoint
+    both call this, so the two expositions are identical by
+    construction.
     """
-    states = [_normalize_state(state) for state in states]
+    states = list(states)
     lines: list[str] = []
     for field, name, help_text in _PROM_GAUGES:
         wrote_help = False
@@ -116,19 +108,17 @@ def format_prometheus(states, *, prefix_help: bool = True) -> str:
                     {**labels, "scope": scope})
                 lines.append(f"{name}{{{pairs}}} "
                              f"{_format_prom_value(event[field])}")
-    # Anomaly families: the historical repro_live_anomalies_total name,
-    # its dashboard-facing alias repro_anomalies_total, and the latest
-    # flag's severity (+Inf = fully stalled window) so alerting can key
-    # on flags rather than re-deriving drops from raw BPS.
-    for name in ("repro_live_anomalies_total", "repro_anomalies_total"):
-        if prefix_help:
-            lines.append(f"# HELP {name} "
-                         "Windows flagged by the BPS anomaly detector")
-            lines.append(f"# TYPE {name} counter")
-        for labels, _latest, _latest_window, count, _sev in states:
-            pairs = _format_prom_labels(labels)
-            suffix = f"{{{pairs}}}" if pairs else ""
-            lines.append(f"{name}{suffix} {count}")
+    # Anomaly families: the flag count and the latest flag's severity
+    # (+Inf = fully stalled window), so alerting can key on flags
+    # rather than re-deriving drops from raw BPS.
+    if prefix_help:
+        lines.append("# HELP repro_anomalies_total "
+                     "Windows flagged by the BPS anomaly detector")
+        lines.append("# TYPE repro_anomalies_total counter")
+    for labels, _latest, _latest_window, count, _sev in states:
+        pairs = _format_prom_labels(labels)
+        suffix = f"{{{pairs}}}" if pairs else ""
+        lines.append(f"repro_anomalies_total{suffix} {count}")
     wrote_help = False
     for labels, _latest, _latest_window, _count, severity in states:
         if severity is None:
@@ -289,8 +279,8 @@ class PrometheusSink:
     (write-then-rename, so a scraper never reads a torn exposition)
     with the latest cumulative gauges plus the most recent window's
     figures labelled ``{scope="window"}``.  Anomalies increment
-    ``repro_live_anomalies_total`` (and its ``repro_anomalies_total``
-    alias) and update ``repro_last_anomaly_severity``.
+    ``repro_anomalies_total`` and update
+    ``repro_last_anomaly_severity``.
     """
 
     def __init__(self, path: str | Path,

@@ -1,7 +1,8 @@
 """The live metric pipeline: windowed + cumulative BPS while records arrive.
 
-:class:`MetricStream` consumes completed I/O records one at a time (from
-the tracing-middleware tap or a trace replay) and maintains, online:
+:class:`MetricStream` folds completed I/O records (from the
+tracing-middleware tap, a trace replay, or a serve tenant) into,
+online:
 
 - **cumulative** metrics — B, N, bytes, and the streaming union time,
   so BPS/IOPS/bandwidth are exact at any moment and the *final*
@@ -17,8 +18,14 @@ the tracing-middleware tap or a trace replay) and maintains, online:
   *active* time and per-window I/O times sum exactly to the cumulative
   union time;
 - **per-group breakdowns** — cumulative B/T/BPS keyed by pid and op out
-  of the box, plus any caller-supplied grouping (the live tap adds a
-  per-server key on parallel file systems).
+  of the box, plus any caller-supplied columnar grouping (the live tap
+  adds a per-server key on parallel file systems).
+
+There is one fold path: :meth:`MetricStream.push_chunk` updates all of
+the above with array ops over a columnar
+:class:`~repro.live.chunk.RecordChunk`.  :meth:`MetricStream.ingest`
+is its record-at-a-time front end — it buffers records and folds them
+in as one chunk (see :class:`_Accumulator` for when).
 
 Windows close when the watermark passes their right edge; closing emits
 a ``window`` event to every attached sink and feeds the anomaly
@@ -32,8 +39,8 @@ event already emitted is *provisional* in that case, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -41,9 +48,16 @@ from repro.core.intervals import merge_intervals, union_time
 from repro.core.metrics import MetricSet
 from repro.core.records import IORecord
 from repro.errors import LiveStreamError
+from repro.live.chunk import RecordChunk
 from repro.live.sinks import apply_sink_policy
 from repro.live.union import StreamingUnion
-from repro.util.units import BLOCK_SIZE, bytes_to_blocks
+from repro.util.units import BLOCK_SIZE
+
+#: Rows :meth:`MetricStream.ingest` buffers before folding them in as
+#: one chunk.  Not a knob: the buffer also flushes whenever a watermark
+#: would settle a window and before every read, so the size only
+#: bounds memory and sets how coarse lateness accounting gets.
+CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -125,34 +139,29 @@ class LiveResult:
 
 class _WindowAgg:
     __slots__ = ("ops", "blocks", "bytes", "dur_sum", "intervals",
-                 "interval_arrays", "emitted")
+                 "emitted")
 
     def __init__(self) -> None:
         self.ops = 0
         self.blocks = 0.0
         self.bytes = 0.0
         self.dur_sum = 0.0
-        #: Clipped intervals from per-record ingest (tuples)...
-        self.intervals: list[tuple[float, float]] = []
-        #: ...and from chunked ingest ((k, 2) arrays, one per chunk).
-        #: The window union is order-independent, so the split storage
-        #: never changes the closed window's I/O time.
-        self.interval_arrays: list[np.ndarray] = []
+        #: Clipped (k, 2) interval arrays, one per folded chunk.  The
+        #: window union is order-independent, so how rows were cut into
+        #: chunks never changes the closed window's I/O time.
+        self.intervals: list[np.ndarray] = []
         self.emitted = False
 
     def combined_intervals(self) -> np.ndarray | None:
         """Every clipped interval of this window as one (n, 2) array."""
-        parts: list[np.ndarray] = []
-        if self.intervals:
-            parts.append(np.asarray(self.intervals, dtype=float))
-        parts.extend(self.interval_arrays)
-        if not parts:
+        if not self.intervals:
             return None
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if len(self.intervals) == 1:
+            return self.intervals[0]
+        return np.concatenate(self.intervals)
 
     def is_empty(self) -> bool:
-        return (self.ops == 0 and not self.intervals
-                and not self.interval_arrays and self.blocks == 0.0)
+        return self.ops == 0 and not self.intervals and self.blocks == 0.0
 
 
 class _GroupAgg:
@@ -165,17 +174,99 @@ class _GroupAgg:
         self.union = StreamingUnion()
 
 
-def _row_key_from_columns(fn) -> Callable[[IORecord], str]:
-    """Row-level key for a group that only has a columnar key fn."""
-    from repro.live.chunk import RecordChunk
+class _Accumulator:
+    """The record-at-a-time front end of ``push_chunk``.
 
-    def key_of(record: IORecord) -> str:
-        return str(fn(RecordChunk.from_records([record]))[0])
+    Shared by :class:`MetricStream` and
+    :class:`~repro.live.shard.ShardedMetricStream`, which supply
+    ``_fold(chunk)`` and ``_apply_watermark(to)``.  ``ingest`` only
+    buffers a record.  The buffer folds in as one
+    :class:`~repro.live.chunk.RecordChunk` when it holds
+    :data:`CHUNK_ROWS` rows, when a watermark — promised from outside
+    or by the stream's own start times (``start - watermark_lag``) —
+    would settle a window, and before any read of stream state.
 
-    return key_of
+    Watermarks take effect at that flush, *after* the buffered rows
+    are folded.  So a window settles on exactly the records delivered
+    before the watermark that settled it, whatever the buffer size.
+    Lateness is chunk-granular: a row is late when its start is below
+    the watermark of the previous flush, and rows of one flush are
+    never late relative to each other.  A late row waits in the buffer
+    like any other, so a window that only late rows reach settles at
+    the next flush.
+    """
+
+    origin: float | None
+    window: float
+    _finalized: bool
+
+    def _init_accumulator(self, watermark_lag: float) -> None:
+        if watermark_lag < 0 or math.isnan(watermark_lag):
+            raise LiveStreamError(f"bad watermark lag {watermark_lag}")
+        self._lag = watermark_lag
+        self._rows: list[IORecord] = []
+        #: Highest watermark promised so far; applied at each flush.
+        self._ahead = -math.inf
+        #: Window index of ``_ahead`` (None until it is first known).
+        self._horizon: int | None = None
+
+    def _add_row(self, record: IORecord) -> None:
+        if self._finalized:
+            raise LiveStreamError("ingest() after finalize()")
+        # Checked here, not when the buffer folds: a bad row left in
+        # the buffer would make every later flush and read raise.
+        if not (math.isfinite(record.start) and math.isfinite(record.end)):
+            raise LiveStreamError(
+                f"non-finite interval ({record.start}, {record.end})")
+        if self.origin is None:
+            self.origin = record.start
+        rows = self._rows
+        rows.append(record)
+        if self._promise(record.start - self._lag) or \
+                len(rows) >= CHUNK_ROWS:
+            self._flush()
+
+    def _promise(self, mark: float) -> bool:
+        """Raise the pending watermark; True if that may settle a window."""
+        if not mark > self._ahead:
+            return False
+        self._ahead = mark
+        if self.origin is None or mark == math.inf:
+            return True
+        index = int(math.floor((mark - self.origin) / self.window))
+        settles = self._horizon is None or index > self._horizon
+        self._horizon = index
+        return settles
+
+    def _advance(self, to: float) -> None:
+        if math.isnan(to):
+            raise LiveStreamError("NaN watermark")
+        if self._promise(to):
+            self._flush()
+
+    def _push(self, chunk) -> None:
+        if self._finalized:
+            raise LiveStreamError("push_chunk() after finalize()")
+        if len(chunk) == 0:
+            return
+        self._fold_rows()
+        self._fold(chunk)
+        self._promise(float(chunk.start.max()) - self._lag)
+        self._apply_watermark(self._ahead)
+
+    def _fold_rows(self) -> None:
+        rows = self._rows
+        if rows:
+            self._rows = []
+            self._fold(RecordChunk.from_records(rows))
+
+    def _flush(self) -> None:
+        """Fold the buffered rows in, then apply the promised watermark."""
+        self._fold_rows()
+        self._apply_watermark(self._ahead)
 
 
-class MetricStream:
+class MetricStream(_Accumulator):
     """Online BPS/IOPS/bandwidth/ARPT over a stream of I/O records."""
 
     def __init__(
@@ -184,8 +275,6 @@ class MetricStream:
         window: float,
         block_size: int = BLOCK_SIZE,
         origin: float | None = None,
-        reorder_capacity: int = 4096,
-        max_pending: int | None = None,
         watermark_lag: float = 0.0,
         late_policy: str = "merge",
         sinks: Iterable = (),
@@ -193,8 +282,7 @@ class MetricStream:
         sink_max_failures: int = 5,
         detector=None,
         attributor=None,
-        group_by: dict[str, Callable[[IORecord], str]] | None = None,
-        group_columns: dict[str, Callable] | None = None,
+        group_columns: dict | None = None,
     ) -> None:
         if not (window > 0) or math.isnan(window):
             raise LiveStreamError(f"window width must be > 0, got {window}")
@@ -210,33 +298,17 @@ class MetricStream:
         self.attributor = attributor
         if attributor is not None and attributor.graph.origin is None:
             # Sync the graph's window grid now if the anchor is known;
-            # otherwise ingest() pins both to the first record's start.
+            # otherwise the first fold pins both to the first start.
             attributor.graph.origin = origin
-        # Bound method cache: the attributor feed runs once per
-        # record inside ingest(); skipping two attribute chases there
-        # is measurable at trace scale.
-        self._attr_add = None if attributor is None else \
-            attributor.graph.add_record
         # sink_errors None/'raise' keeps sinks transparent; 'warn' /
         # 'disable' wrap them fail-safe (repro.live.sinks.FailSafeSink)
         # so a dying sink cannot corrupt the metric stream.
         self.sinks = apply_sink_policy(sinks, sink_errors,
                                        sink_max_failures)
         self.detector = detector
-        # ``max_pending`` is the explicit memory bound on the reorder
-        # heap (the preferred spelling; ``reorder_capacity`` remains as
-        # the historical alias).  When the heap would exceed it, the
-        # watermark is *forced* forward past the oldest pending start —
-        # a documented degradation: cumulative metrics stay exact (the
-        # insertion path is order-independent), but records arriving
-        # under the forced watermark count as late and their windows
-        # are only corrected at finalize.  Trips are counted in
-        # :attr:`forced_watermarks`.
-        if max_pending is not None:
-            reorder_capacity = max_pending
-        self._union = StreamingUnion(reorder_capacity=reorder_capacity,
-                                     watermark_lag=watermark_lag,
+        self._union = StreamingUnion(watermark_lag=watermark_lag,
                                      late_policy=late_policy)
+        self._init_accumulator(watermark_lag)
         # Cumulative counters.
         self._ops = 0
         self._blocks = 0
@@ -267,24 +339,12 @@ class MetricStream:
         #: when first observed (the finalize re-judgement must use the
         #: same baseline, not the end-of-run one).
         self._judged_baselines: dict[int, float] = {}
-        # Breakdowns.
-        keyed: dict[str, Callable[[IORecord], str]] = {
-            "pid": lambda r: str(r.pid),
-            "op": lambda r: r.op,
-        }
-        keyed.update(group_by or {})
-        self._group_keys = keyed
-        #: Names whose row-level key fn was caller-supplied: the chunked
-        #: path may not substitute its builtin columnar pid/op keys.
-        self._custom_groups = set(group_by or {})
-        #: name -> fn(RecordChunk) -> per-row key array; the columnar
-        #: counterpart of ``group_by`` for the chunked ingest path.
-        self._group_columns = dict(group_columns or {})
-        for name in self._group_columns:
-            self._group_keys.setdefault(
-                name, _row_key_from_columns(self._group_columns[name]))
+        # Breakdowns: name -> fn(RecordChunk) -> per-row key array.
+        self._group_columns = {"pid": lambda chunk: chunk.pid,
+                               "op": lambda chunk: chunk.op,
+                               **(group_columns or {})}
         self._groups: dict[str, dict[str, _GroupAgg]] = {
-            name: {} for name in self._group_keys
+            name: {} for name in self._group_columns
         }
         self.anomalies: list = []
         self._finalized = False
@@ -292,56 +352,33 @@ class MetricStream:
     # -- ingest ------------------------------------------------------------
 
     def ingest(self, record: IORecord) -> None:
-        """Fold one completed I/O record into the stream."""
-        if self._finalized:
-            raise LiveStreamError("ingest() after finalize()")
-        if self.origin is None:
-            self.origin = record.start
-        if self._attr_add is not None:
-            self._attr_add(record)
-        self._union.add(record.start, record.end)
-        blocks = bytes_to_blocks(record.nbytes, self.block_size)
-        self._ops += 1
-        self._blocks += blocks
-        self._bytes += record.nbytes
-        self._dur_sum += record.duration
-        if not record.success:
-            self._failed += 1
-        self._retries += record.retries
-        if record.start < self._first_start:
-            self._first_start = record.start
-        if record.end > self._last_end:
-            self._last_end = record.end
-        for name, key_of in self._group_keys.items():
-            agg = self._groups[name].setdefault(key_of(record), _GroupAgg())
-            agg.ops += 1
-            agg.blocks += blocks
-            agg.bytes += record.nbytes
-            agg.union.add(record.start, record.end)
-        self._spread_into_windows(record, blocks)
-        self._close_settled_windows()
+        """Deliver one completed I/O record.
+
+        The record is buffered and folded in with its neighbours as one
+        chunk (see :class:`_Accumulator` for when); every query sees it.
+        """
+        self._add_row(record)
 
     def push_chunk(self, chunk) -> None:
         """Fold one columnar :class:`~repro.live.chunk.RecordChunk` in.
 
-        The vectorised ingest path: windows, breakdowns, and the union
-        update with array ops — no per-record Python.  Equivalent to
-        calling :meth:`ingest` on every row in row order, with two
-        documented deviations (see :mod:`repro.live.chunk`): per-window
-        float masses and the ARPT duration sum agree only to float
-        re-association, and watermark/lateness accounting is chunk-
-        granular (rows inside one chunk are never late relative to each
-        other, and window events close at chunk boundaries — finalize
-        settles the same exact series either way).
+        The one fold path: windows, breakdowns, and the union update
+        with array ops — no per-record Python.  Rows still buffered by
+        :meth:`ingest` fold in first, so delivery order is kept.  Per-
+        window float masses and the ARPT duration sum depend on how rows
+        were cut into chunks only up to float re-association (see
+        :mod:`repro.live.chunk`).
 
         The chunk is trusted: validation happens in
         :meth:`RecordChunk.build` / :meth:`RecordChunk.from_columns`.
         """
-        if self._finalized:
-            raise LiveStreamError("push_chunk() after finalize()")
-        n = len(chunk)
-        if n == 0:
-            return
+        self._push(chunk)
+
+    def advance_watermark(self, to: float) -> None:
+        """Externally promise no future record starts below ``to``."""
+        self._advance(to)
+
+    def _fold(self, chunk) -> None:
         if self.origin is None:
             self.origin = float(chunk.start[0])
         if self.attributor is not None:
@@ -351,7 +388,7 @@ class MetricStream:
         self._union.add_batch(chunk.intervals())
         blocks = -(-chunk.nbytes // self.block_size)
         duration = chunk.end - chunk.start
-        self._ops += n
+        self._ops += len(chunk)
         self._blocks += int(blocks.sum())
         self._bytes += int(chunk.nbytes.sum())
         self._dur_sum += float(duration.sum())
@@ -365,10 +402,8 @@ class MetricStream:
             self._last_end = last_end
         self._spread_chunk_groups(chunk, blocks)
         self._spread_chunk_windows(chunk, blocks, duration)
-        self._close_settled_windows()
 
-    def advance_watermark(self, to: float) -> None:
-        """Externally promise no future record starts below ``to``."""
+    def _apply_watermark(self, to: float) -> None:
         self._union.advance_watermark(to)
         self._close_settled_windows()
 
@@ -381,56 +416,14 @@ class MetricStream:
         return (self.origin + index * self.window,
                 self.origin + (index + 1) * self.window)
 
-    def _spread_into_windows(self, record: IORecord, blocks: int) -> None:
-        first = self._index_of(record.start)
-        agg = self._windows.setdefault(first, _WindowAgg())
-        agg.ops += 1
-        agg.dur_sum += record.duration
-        if agg.emitted:
-            self.late_window_updates += 1
-            self._dirty_windows.add(first)
-        last_index = first
-        if record.duration == 0.0:
-            agg.blocks += blocks
-            agg.bytes += record.nbytes
-        else:
-            last = self._index_of(record.end)
-            # A record ending exactly on a window edge contributes
-            # nothing to the window it "starts": clip to [start, end).
-            if last > first and record.end == self._window_bounds(last)[0]:
-                last -= 1
-            last_index = last
-            for index in range(first, last + 1):
-                w0, w1 = self._window_bounds(index)
-                lo = max(record.start, w0)
-                hi = min(record.end, w1)
-                if hi <= lo and index != first:
-                    continue
-                part = self._windows.setdefault(index, _WindowAgg())
-                if part.emitted and index != first:
-                    self.late_window_updates += 1
-                    self._dirty_windows.add(index)
-                fraction = max(hi - lo, 0.0) / record.duration
-                part.blocks += blocks * fraction
-                part.bytes += record.nbytes * fraction
-                if hi > lo:
-                    part.intervals.append((lo, hi))
-        if self._min_index is None or first < self._min_index:
-            self._min_index = first
-        if self._max_index is None or last_index > self._max_index:
-            self._max_index = last_index
-        if self._last_start_index is None or \
-                first > self._last_start_index:
-            self._last_start_index = first
-
     def _spread_chunk_windows(self, chunk, blocks: np.ndarray,
                               duration: np.ndarray) -> None:
-        """Vectorised twin of :meth:`_spread_into_windows`.
+        """Spread a chunk's mass and clipped intervals over its windows.
 
         Expands each record into its (record, window) overlap pairs with
         a repeat/arange trick, computes clip bounds and overlap
-        fractions elementwise (the exact scalar expressions, so clipped
-        endpoints are bit-identical), then accumulates per-window mass
+        fractions elementwise (clipped endpoints are selected floats,
+        so window I/O times are exact), then accumulates per-window mass
         with ``bincount`` — which sums in pair order, i.e. record order.
         """
         origin = self.origin
@@ -501,7 +494,7 @@ class MetricStream:
             cuts = np.flatnonzero(np.diff(owner)) + 1
             heads = np.concatenate(([0], cuts))
             for head, part in zip(heads, np.split(clipped, cuts)):
-                windows[int(owner[head])].interval_arrays.append(part)
+                windows[int(owner[head])].intervals.append(part)
 
         fmin = int(first.min())
         fmax = int(first.max())
@@ -514,35 +507,14 @@ class MetricStream:
                 fmax > self._last_start_index:
             self._last_start_index = fmax
 
-    def _chunk_groups(self, name: str, chunk) -> tuple[list[str], np.ndarray]:
-        """(labels, per-row inverse) of group ``name`` over a chunk."""
-        fn = self._group_columns.get(name)
-        if fn is not None:
-            uniq, inv = np.unique(np.asarray(fn(chunk)),
-                                  return_inverse=True)
-            return [str(v) for v in uniq], inv
-        if name == "pid" and name not in self._custom_groups:
-            uniq, inv = np.unique(chunk.pid, return_inverse=True)
-            return [str(int(v)) for v in uniq], inv
-        if name == "op" and name not in self._custom_groups:
-            uniq, inv = np.unique(np.asarray(chunk.op),
-                                  return_inverse=True)
-            return [str(v) for v in uniq], inv
-        # No columnar key: materialise rows for this group only (the
-        # escape hatch for caller-supplied ``group_by`` callables).
-        key_of = self._group_keys[name]
-        keys = np.array([key_of(r) for r in chunk.records()],
-                        dtype=object)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        return [str(v) for v in uniq], inv
-
     def _spread_chunk_groups(self, chunk, blocks: np.ndarray) -> None:
         intervals = chunk.intervals()
         nbytes = chunk.nbytes
-        for name in self._group_keys:
-            labels, inv = self._chunk_groups(name, chunk)
+        for name, key_of in self._group_columns.items():
+            uniq, inv = np.unique(np.asarray(key_of(chunk)),
+                                  return_inverse=True)
             groups = self._groups[name]
-            nuniq = len(labels)
+            nuniq = len(uniq)
             ops_counts = np.bincount(inv, minlength=nuniq)
             # float64 sums of int64 are exact below 2**53 — far beyond
             # any real chunk's block/byte totals.
@@ -550,7 +522,8 @@ class MetricStream:
                                       minlength=nuniq)
             bytes_sums = np.bincount(inv, weights=nbytes,
                                      minlength=nuniq)
-            for g, key in enumerate(labels):
+            for g, value in enumerate(uniq.tolist()):
+                key = str(value)
                 agg = groups.get(key)
                 if agg is None:
                     agg = groups[key] = _GroupAgg()
@@ -572,6 +545,11 @@ class MetricStream:
         else:
             settled = self._index_of(watermark)
         if self._next_emit is None:
+            # Nothing emitted yet: until the first window settles, a
+            # row landing below the lowest window seen just moves the
+            # start of the series instead of arriving late.
+            if self._min_index >= settled:
+                return
             self._next_emit = self._min_index
         while self._next_emit < settled and \
                 self._next_emit <= self._max_index:
@@ -669,50 +647,43 @@ class MetricStream:
             sink.emit(event)
 
     # -- queries -----------------------------------------------------------
+    # Every query flushes the ingest buffer first, so it sees every
+    # record delivered so far.
 
     @property
     def ops(self) -> int:
+        self._flush()
         return self._ops
 
     @property
     def blocks(self) -> int:
+        self._flush()
         return self._blocks
 
     @property
     def nbytes(self) -> int:
+        self._flush()
         return self._bytes
 
     @property
     def late_records(self) -> int:
+        self._flush()
         return self._union.late_records
 
     @property
     def watermark(self) -> float:
         """The union's settled-start watermark (-inf before data)."""
+        self._flush()
         return self._union.watermark
-
-    @property
-    def pending_records(self) -> int:
-        """Intervals currently held in the bounded reorder heap."""
-        return self._union.pending_records
-
-    @property
-    def max_pending(self) -> int:
-        """The reorder heap's explicit memory bound."""
-        return self._union.reorder_capacity
-
-    @property
-    def forced_watermarks(self) -> int:
-        """Times the heap bound forced the watermark forward."""
-        return self._union.forced_watermarks
 
     def union_io_time(self) -> float:
         """Streaming union time of everything ingested so far."""
+        self._flush()
         return self._union.union_time()
 
     def snapshot(self, *, emit: bool = False) -> LiveSnapshot:
         """Exact cumulative metrics at this instant."""
-        t = self._union.union_time()
+        t = self.union_io_time()
         snap = LiveSnapshot(
             time=self._last_end if self._ops else 0.0,
             ops=self._ops, blocks=self._blocks, bytes=self._bytes,
@@ -723,7 +694,7 @@ class MetricStream:
             arpt=self._dur_sum / self._ops if self._ops else 0.0,
             windows_closed=(0 if self._next_emit is None
                             else self._next_emit - self._min_index),
-            late_records=self.late_records,
+            late_records=self._union.late_records,
         )
         if emit:
             self._emit(snap.as_event())
@@ -731,6 +702,7 @@ class MetricStream:
 
     def breakdown(self, name: str) -> tuple[GroupStats, ...]:
         """Cumulative per-group stats ('pid', 'op', or a custom group)."""
+        self._flush()
         try:
             groups = self._groups[name]
         except KeyError:
@@ -761,6 +733,7 @@ class MetricStream:
         and scalars only) and doubles as the shard respawn snapshot
         consumed by :meth:`restore_state`.
         """
+        self._flush()
         windows = {}
         for index, agg in self._windows.items():
             combined = agg.combined_intervals()
@@ -770,9 +743,7 @@ class MetricStream:
                 # Replace the accumulated clip lists with their merged
                 # segments (union-of-unions: no information lost) so
                 # repeated snapshots stay O(open windows), not O(run).
-                agg.intervals = []
-                agg.interval_arrays = (
-                    [segments] if len(segments) else [])
+                agg.intervals = [segments] if len(segments) else []
             windows[int(index)] = {
                 "ops": agg.ops, "blocks": agg.blocks,
                 "bytes": agg.bytes, "dur_sum": agg.dur_sum,
@@ -795,9 +766,8 @@ class MetricStream:
             "last_end": self._last_end,
             "union_segments": self._union.segments(),
             "union_watermark": self._union.watermark,
-            "late_records": self.late_records,
+            "late_records": self._union.late_records,
             "late_window_updates": self.late_window_updates,
-            "forced_watermarks": self.forced_watermarks,
             "min_index": self._min_index,
             "max_index": self._max_index,
             "last_start_index": self._last_start_index,
@@ -830,9 +800,9 @@ class MetricStream:
         if len(segments):
             self._union.add_batch(segments)
         self._union.advance_watermark(state["union_watermark"])
+        self._ahead = state["union_watermark"]
         self._union.records_seen = state["ops"]
         self._union.late_records = state["late_records"]
-        self._union.forced_watermarks = state["forced_watermarks"]
         self.late_window_updates = state["late_window_updates"]
         self._min_index = state["min_index"]
         self._max_index = state["max_index"]
@@ -849,7 +819,7 @@ class MetricStream:
             agg.bytes = win["bytes"]
             agg.dur_sum = win["dur_sum"]
             if len(win["segments"]):
-                agg.interval_arrays.append(
+                agg.intervals.append(
                     np.asarray(win["segments"], dtype=float))
             agg.emitted = (self._next_emit is not None
                            and index < self._next_emit)
@@ -879,6 +849,7 @@ class MetricStream:
         """
         if self._finalized:
             raise LiveStreamError("finalize() called twice")
+        self._flush()
         if self._ops == 0:
             raise LiveStreamError("finalize() on an empty stream")
         t = self._union.finalize()
@@ -914,9 +885,8 @@ class MetricStream:
             extras={
                 "failed_records": self._failed,
                 "total_retries": self._retries,
-                "late_records": self.late_records,
+                "late_records": self._union.late_records,
                 "late_window_updates": self.late_window_updates,
-                "forced_watermarks": self.forced_watermarks,
             },
         )
         result = LiveResult(
@@ -925,7 +895,7 @@ class MetricStream:
             anomalies=tuple(self.anomalies),
             breakdowns={name: self.breakdown(name)
                         for name in self._groups},
-            late_records=self.late_records,
+            late_records=self._union.late_records,
             late_window_updates=self.late_window_updates,
         )
         self._emit({
@@ -934,7 +904,7 @@ class MetricStream:
             "iops": metrics.iops, "bandwidth": metrics.bandwidth,
             "arpt": metrics.arpt, "exec_time": exec_time,
             "windows": len(windows), "anomalies": len(self.anomalies),
-            "late_records": self.late_records,
+            "late_records": self._union.late_records,
         })
         for sink in self.sinks:
             close = getattr(sink, "close", None)

@@ -9,12 +9,12 @@ the same posture as tailing live Lustre/syscall stats instead of
 parsing a trace afterwards.
 
 Watermark: completions arrive in *end*-time order, so a long request
-that started early lands out of start order — the reorder buffer's
-case.  The tap advances the stream watermark from a passive engine
-heartbeat (``now - watermark_lag``); the lag bounds how long a request
-may stay in flight before its window is considered settled.  Records
-that outlive the lag are folded in late (cumulative metrics stay
-exact; the affected window is corrected at :meth:`LiveTap.result`).
+that started early lands out of start order.  The tap advances the
+stream watermark from a passive engine heartbeat (``now -
+watermark_lag``); the lag bounds how long a request may stay in flight
+before its window is considered settled.  Records that outlive the lag
+are folded in late (cumulative metrics stay exact; the affected window
+is corrected at :meth:`LiveTap.result`).
 
 The heartbeat is a pure observer: it schedules engine callbacks but
 touches no simulated state and draws no randomness, so a tapped run
@@ -26,6 +26,8 @@ event loop still drains.
 from __future__ import annotations
 
 from typing import Iterable
+
+import numpy as np
 
 from repro.core.records import IORecord
 from repro.errors import LiveStreamError
@@ -56,12 +58,12 @@ class LiveTap:
         #: Default lag: two windows of in-flight tolerance.
         self.watermark_lag = (2.0 * window if watermark_lag is None
                               else watermark_lag)
-        group_by = {}
+        group_columns = {}
         server_of = None
         if system.pfs is not None:
             layout = system.pfs.default_layout
             server_of = _server_key(layout)
-            group_by["server"] = server_of
+            group_columns["server"] = _server_columns(layout)
         attributor = None
         if attribute:
             from repro.diagnose.attribute import Attributor
@@ -83,7 +85,7 @@ class LiveTap:
             sink_max_failures=sink_max_failures,
             detector=detector,
             attributor=attributor,
-            group_by=group_by,
+            group_columns=group_columns,
         )
         self.system = system
         self.snapshot_every = snapshot_every
@@ -135,11 +137,13 @@ class LiveTap:
 
 
 def _server_key(layout):
-    """Group key: the server holding a record's first stripe.
+    """Server key of one record: the server holding its first stripe.
 
     A striped request touches several servers; attributing it to the
     one serving its first byte keeps the breakdown cheap and stable
-    (requests at unknown offsets land in ``"?"``).
+    (requests at unknown offsets land in ``"?"``).  The attribution
+    graph keys rows with this; the ``server`` breakdown uses
+    :func:`_server_columns`, the same rule over a whole chunk.
     """
     stripe_size = layout.stripe_size
     servers = layout.servers
@@ -150,5 +154,20 @@ def _server_key(layout):
             return "?"
         stripe = record.offset // stripe_size
         return f"server{servers[stripe % width]}"
+
+    return key_of
+
+
+def _server_columns(layout):
+    """:func:`_server_key` over a :class:`~repro.live.chunk.RecordChunk`."""
+    stripe_size = layout.stripe_size
+    width = len(layout.servers)
+    # names[stripe % width] is the server; names[width] is "?".
+    names = np.array([f"server{s}" for s in layout.servers] + ["?"],
+                     dtype=object)
+
+    def key_of(chunk) -> np.ndarray:
+        slot = (chunk.offset // stripe_size) % width
+        return names[np.where(chunk.offset < 0, width, slot)]
 
     return key_of

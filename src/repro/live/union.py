@@ -1,9 +1,9 @@
 """Incremental interval union — the streaming form of the Fig. 3 sweep.
 
 :class:`StreamingUnion` maintains the *canonical disjoint union* of
-every interval it has seen, updated one interval (or one drained batch)
-at a time, so the union I/O time — the T of ``BPS = B / T`` — is
-available while records are still arriving.
+every interval it has seen, updated one batch at a time, so the union
+I/O time — the T of ``BPS = B / T`` — is available while records are
+still arriving.
 
 Equality with the batch computation
 -----------------------------------
@@ -11,38 +11,34 @@ Equality with the batch computation
 The batch kernel (:func:`repro.core.intervals.merge_sweep`) produces
 the canonical disjoint union: disjoint, start-sorted, with touching
 intervals merged (the gap test is strict).  That union is *unique* for
-a given input set and does not depend on arrival order.  The streaming
-accumulator maintains exactly the same structure by insertion
-(bisect + splice, merging any overlapping-or-touching neighbours), so
-after the same intervals have been fed in **any order** its segment
-array is element-for-element identical to the batch one.  Segment
-endpoints are selected, never computed (only ``min``/``max`` of input
-floats), so no rounding enters.  :meth:`union_time` then sums
+a given input set and does not depend on arrival order.  Each batch is
+reduced to its own canonical union by the same sweep, and every
+resulting segment is inserted into the accumulated structure by
+bisect + splice (merging any overlapping-or-touching neighbours), so
+after the same intervals have been fed in **any order and any cut**
+the segment array is element-for-element identical to the batch one.
+Segment endpoints are selected, never computed (only ``min``/``max`` of
+input floats), so no rounding enters.  :meth:`union_time` then sums
 ``ends - starts`` with ``np.sum`` over the same float64 array the batch
 path sums — pairwise summation over identical operands — making the
 streamed total **bit-identical** to :func:`~repro.core.intervals.union_time`,
 not merely close.  The Hypothesis property suite asserts ``==``.
 
-Reorder buffer and watermark
-----------------------------
+Watermark
+---------
 
 Real completion streams deliver records out of start order (a long
-request that started early finishes late).  Two cooperating mechanisms
-absorb that:
-
-- a **bounded reorder buffer** (min-heap on start, capacity
-  ``reorder_capacity``) holds young intervals; they drain into the
-  sealed segment structure in start order, which keeps the common case
-  an O(1) append instead of a mid-list splice;
-- a **watermark** — ``max(start seen) - watermark_lag``, or whatever
-  :meth:`advance_watermark` pushed it to — is the promise that no
-  future interval starts below it.  Draining follows the watermark;
-  consumers (window emission in :mod:`repro.live.stream`) treat
-  everything below the watermark as settled.
+request that started early finishes late).  The **watermark** —
+``max(start seen) - watermark_lag``, or whatever :meth:`advance_watermark`
+pushed it to — is the promise that no future interval starts below it;
+consumers (window emission in :mod:`repro.live.stream`) treat
+everything below it as settled.  A batch moves the start-driven
+watermark only after it has been folded in, so rows of one batch are
+never late relative to each other.
 
 An interval arriving *below* the watermark is a **late record**: the
 producer broke its ordering promise.  ``late_policy="merge"`` (default)
-still folds it in exactly — the insertion path is order-independent, so
+still folds it in exactly — insertion is order-independent, so
 cumulative totals remain provably equal to batch — and counts it in
 :attr:`late_records` so window-level consumers can re-emit;
 ``late_policy="raise"`` raises :class:`~repro.errors.LiveStreamError`
@@ -51,7 +47,6 @@ for pipelines that need the watermark contract enforced.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left, bisect_right
 
@@ -66,81 +61,37 @@ LATE_POLICIES = ("merge", "raise")
 class StreamingUnion:
     """Online union of I/O intervals, exact under any arrival order."""
 
-    def __init__(self, *, reorder_capacity: int = 4096,
-                 watermark_lag: float = 0.0,
+    def __init__(self, *, watermark_lag: float = 0.0,
                  late_policy: str = "merge") -> None:
-        if reorder_capacity < 1:
-            raise LiveStreamError(
-                f"reorder capacity must be >= 1, got {reorder_capacity}")
         if watermark_lag < 0 or math.isnan(watermark_lag):
             raise LiveStreamError(f"bad watermark lag {watermark_lag}")
         if late_policy not in LATE_POLICIES:
             raise LiveStreamError(
                 f"unknown late policy {late_policy!r}; "
                 f"known: {', '.join(LATE_POLICIES)}")
-        self.reorder_capacity = reorder_capacity
         self.watermark_lag = watermark_lag
         self.late_policy = late_policy
-        #: Sealed canonical union: disjoint, sorted, touching merged.
+        #: Canonical union: disjoint, sorted, touching merged.
         self._starts: list[float] = []
         self._ends: list[float] = []
-        #: Young intervals not yet drained, min-heap on start.
-        self._pending: list[tuple[float, float]] = []
-        self._max_start = -math.inf
         self._watermark = -math.inf
         self.records_seen = 0
         self.late_records = 0
-        #: Times the capacity bound forced the watermark past the
-        #: oldest pending start — the explicit memory-bound degradation
-        #: path (exactness is never at stake; windows settled under a
-        #: forced watermark may need late corrections at finalize).
-        self.forced_watermarks = 0
         self._finalized = False
 
     # -- ingest ------------------------------------------------------------
 
-    def add(self, start: float, end: float) -> None:
-        """Fold one interval in; may advance the watermark and drain."""
-        if self._finalized:
-            raise LiveStreamError("add() after finalize()")
-        if math.isnan(start) or math.isnan(end):
-            raise LiveStreamError(f"NaN interval ({start}, {end})")
-        if end < start:
-            raise LiveStreamError(
-                f"interval ends before it starts: [{start}, {end}]")
-        self.records_seen += 1
-        if start < self._watermark:
-            if self.late_policy == "raise":
-                raise LiveStreamError(
-                    f"late record: start {start} below watermark "
-                    f"{self._watermark}")
-            self.late_records += 1
-            self._merge_one(start, end)
-            return
-        heapq.heappush(self._pending, (start, end))
-        if start > self._max_start:
-            self._max_start = start
-            self._watermark = max(self._watermark,
-                                  start - self.watermark_lag)
-        # Capacity overflow forces the watermark forward: the buffer is
-        # bounded, so the oldest pending start becomes settled.
-        while len(self._pending) > self.reorder_capacity:
-            oldest_start, oldest_end = heapq.heappop(self._pending)
-            if oldest_start > self._watermark:
-                self._watermark = oldest_start
-                self.forced_watermarks += 1
-            self._merge_one(oldest_start, oldest_end)
-        self._drain()
-
     def add_batch(self, intervals) -> None:
-        """Fold a whole (n, 2) array in one vectorised merge sweep.
+        """Fold a whole (n, 2) array in with one vectorised merge sweep.
 
-        The bulk-ingest fast path: the batch is reduced to its own
-        canonical union via :func:`~repro.core.intervals.merge_sweep`,
-        then each resulting segment is inserted.  Watermark/lateness
-        accounting matches feeding the rows through :meth:`add`
-        one by one in start order.
+        The batch is reduced to its own canonical union via
+        :func:`~repro.core.intervals.merge_sweep`, then each resulting
+        segment is inserted.  Rows below the watermark *before* the
+        batch count as late; the batch then moves the watermark to its
+        highest start minus the lag.
         """
+        if self._finalized:
+            raise LiveStreamError("add_batch() after finalize()")
         arr = np.asarray(intervals, dtype=float)
         if arr.size == 0:
             return
@@ -163,12 +114,8 @@ class StreamingUnion:
         seg_starts, seg_ends = merge_sweep(arr)
         for s, e in zip(seg_starts.tolist(), seg_ends.tolist()):
             self._merge_one(s, e)
-        top = float(arr[:, 0].max())
-        if top > self._max_start:
-            self._max_start = top
-            self._watermark = max(self._watermark,
-                                  top - self.watermark_lag)
-        self._drain()
+        self._watermark = max(self._watermark,
+                              float(arr[:, 0].max()) - self.watermark_lag)
 
     def advance_watermark(self, to: float) -> None:
         """Promise that no future interval starts below ``to``."""
@@ -176,29 +123,21 @@ class StreamingUnion:
             raise LiveStreamError("NaN watermark")
         if to > self._watermark:
             self._watermark = to
-            self._drain()
 
     def finalize(self) -> float:
-        """Seal the stream: drain everything, return the union time."""
+        """Seal the stream and return the union time."""
         self._watermark = math.inf
-        self._drain()
         self._finalized = True
         return self.union_time()
 
     # -- internals ---------------------------------------------------------
 
-    def _drain(self) -> None:
-        pending = self._pending
-        while pending and pending[0][0] <= self._watermark:
-            start, end = heapq.heappop(pending)
-            self._merge_one(start, end)
-
     def _merge_one(self, start: float, end: float) -> None:
-        """Insert one interval into the sealed canonical union."""
+        """Insert one interval into the canonical union."""
         starts, ends = self._starts, self._ends
         if not starts or start > ends[-1]:
-            # Common case under near-sorted drains: strictly after the
-            # last sealed segment (touching extends instead).
+            # Common case under near-sorted delivery: strictly after
+            # the last segment (touching extends instead).
             starts.append(start)
             ends.append(end)
             return
@@ -223,19 +162,8 @@ class StreamingUnion:
         """Highest settled start time (-inf before the first record)."""
         return self._watermark
 
-    @property
-    def pending_records(self) -> int:
-        """Intervals still in the reorder buffer."""
-        return len(self._pending)
-
     def segments(self) -> np.ndarray:
-        """The current canonical union as an (m, 2) array (copy).
-
-        Flushes the reorder buffer into the sealed structure first —
-        harmless, the buffer is purely an append optimisation — so the
-        result reflects *every* interval seen so far.
-        """
-        self._flush_pending()
+        """The current canonical union as an (m, 2) array (copy)."""
         return np.column_stack((
             np.asarray(self._starts, dtype=float),
             np.asarray(self._ends, dtype=float),
@@ -243,24 +171,15 @@ class StreamingUnion:
 
     def union_time(self) -> float:
         """Union time of everything seen so far (exact at any moment)."""
-        self._flush_pending()
         if not self._starts:
             return 0.0
         starts = np.asarray(self._starts, dtype=float)
         ends = np.asarray(self._ends, dtype=float)
         return float(np.sum(ends - starts))
 
-    def _flush_pending(self) -> None:
-        # Does NOT move the watermark: flushing early only gives up the
-        # append fast path, never correctness (insertion is exact).
-        pending = self._pending
-        while pending:
-            start, end = heapq.heappop(pending)
-            self._merge_one(start, end)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<StreamingUnion n={self.records_seen} "
-            f"segments={len(self._starts)} pending={len(self._pending)} "
+            f"segments={len(self._starts)} "
             f"watermark={self._watermark:.6g} late={self.late_records}>"
         )

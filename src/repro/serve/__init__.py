@@ -21,7 +21,7 @@ from repro.serve.budget import (
     IngestMeter,
     TenantBudget,
     clamp_positive,
-    resolve_serve_ingest,
+    resolve_serve_workers,
 )
 from repro.serve.protocol import (
     control_line,
@@ -46,7 +46,7 @@ __all__ = [
     "IngestMeter",
     "TenantBudget",
     "clamp_positive",
-    "resolve_serve_ingest",
+    "resolve_serve_workers",
     "control_line",
     "decode_stream_line",
     "record_line",

@@ -14,19 +14,13 @@ rung      name              guarantee
                             (TCP backpressure); totals exact, the
                             client is slowed, delays are summed in
                             :attr:`IngestMeter.throttled_seconds`
-2         ``force``         the reorder heap hits ``max_pending`` and
-                            forces the watermark forward
-                            (:class:`~repro.live.union.StreamingUnion`);
-                            totals exact, *lateness* degraded — closed
-                            windows may need corrections at finalize,
-                            trips counted in ``forced_watermarks``
-3         ``shed``          arrears beyond ``shed_factor`` bucket
+2         ``shed``          arrears beyond ``shed_factor`` bucket
                             depths: records are dropped before ingest
                             and counted (``records_shed`` /
                             ``bytes_shed``) — admitted totals stay
                             exact, shed mass is accounted, never
                             silently lost
-4         ``evict``         more than ``evict_after_sheds`` shed
+3         ``evict``         more than ``evict_after_sheds`` shed
                             records: the tenant is finalized, flushed,
                             and refused — the daemon stays healthy
 ========  ================  =========================================
@@ -45,7 +39,7 @@ from typing import Callable
 from repro.errors import ServeError
 
 #: Ladder rungs in escalation order (rung index == position).
-SHED_LADDER = ("exact", "throttle", "force", "shed", "evict")
+SHED_LADDER = ("exact", "throttle", "shed", "evict")
 
 
 @dataclass(frozen=True)
@@ -54,8 +48,6 @@ class TenantBudget:
 
     max_bytes_per_sec: float | None = None
     max_records_per_sec: float | None = None
-    #: Reorder-heap bound handed to the tenant's MetricStream (rung 2).
-    max_pending: int = 4096
     #: Token-bucket depth, in seconds of sustained budget.
     burst_seconds: float = 1.0
     #: Arrears beyond this many bucket depths shed instead of throttle.
@@ -68,9 +60,6 @@ class TenantBudget:
             value = getattr(self, name)
             if value is not None and not (value > 0):
                 raise ServeError(f"{name} must be > 0, got {value}")
-        if self.max_pending < 1:
-            raise ServeError(
-                f"max_pending must be >= 1, got {self.max_pending}")
         if not (self.burst_seconds > 0):
             raise ServeError(
                 f"burst_seconds must be > 0, got {self.burst_seconds}")
@@ -98,7 +87,7 @@ class Admission:
     #: Seconds the reader should pause before the next read (rung 1).
     delay: float = 0.0
     #: The ladder rung that produced this verdict (index into
-    #: :data:`SHED_LADDER`; rung 2 is reported by the stream itself).
+    #: :data:`SHED_LADDER`).
     rung: int = 0
 
     @property
@@ -172,9 +161,9 @@ class IngestMeter:
     def rung(self) -> int:
         """The highest ladder rung this meter has reached so far."""
         if self.evicted:
-            return 4
-        if self.records_shed:
             return 3
+        if self.records_shed:
+            return 2
         if self.throttle_delays:
             return 1
         return 0
@@ -182,7 +171,7 @@ class IngestMeter:
     def admit(self, nbytes: int) -> Admission:
         """Judge one record of ``nbytes`` payload against the budget."""
         if self.evicted:
-            return Admission(action="evict", rung=4)
+            return Admission(action="evict", rung=3)
         budget = self.budget
         if budget.unlimited:
             self.records_admitted += 1
@@ -197,15 +186,15 @@ class IngestMeter:
             bucket.refill(now)
             arrears = max(arrears, bucket.arrears_depths(cost))
         if arrears > budget.shed_factor:
-            # Rung 3: the flood outran throttling — drop with exact
+            # Rung 2: the flood outran throttling — drop with exact
             # accounting instead of queueing unbounded arrears.
             self.records_shed += 1
             self.bytes_shed += nbytes
             if budget.evict_after_sheds is not None and \
                     self.records_shed > budget.evict_after_sheds:
                 self.evicted = True
-                return Admission(action="evict", rung=4)
-            return Admission(action="shed", rung=3)
+                return Admission(action="evict", rung=3)
+            return Admission(action="shed", rung=2)
         delay = 0.0
         for bucket, cost in ((self._bytes, float(nbytes)),
                              (self._records, 1.0)):
@@ -259,23 +248,17 @@ def clamp_positive(name: str, value, default: int, *,
     return parsed
 
 
-def resolve_serve_ingest(chunk_size, workers) -> tuple[int, int]:
-    """Clamped (chunk_size, workers) for the serve ingest path.
+def resolve_serve_workers(workers) -> int:
+    """Clamped shard-worker count per tenant for ``bps serve``.
 
-    ``0`` is the documented "off" value for both knobs (per-record
-    ingest, in-process stream), so the minimum is 0, not 1.  Flag
-    values take precedence; ``REPRO_SERVE_CHUNK_SIZE`` /
-    ``REPRO_SERVE_WORKERS`` fill in when a flag is None.  Every bad
-    value warns and clamps — a fleet-wide env var typo must not take
-    the daemon down.
+    ``0`` is the documented "off" value (one in-process stream per
+    tenant), so the minimum is 0, not 1.  The flag takes precedence;
+    ``REPRO_SERVE_WORKERS`` fills in when it is None.  Every bad value
+    warns and clamps — a fleet-wide env var typo must not take the
+    daemon down.
     """
-    if chunk_size is None:
-        chunk_size = os.environ.get("REPRO_SERVE_CHUNK_SIZE", "0").strip() \
-            or "0"
     if workers is None:
         workers = os.environ.get("REPRO_SERVE_WORKERS", "0").strip() or "0"
-    chunk_size = clamp_positive("serve chunk size", chunk_size, 0,
-                                minimum=0)
     workers = clamp_positive("serve workers", workers, 0, minimum=0)
     cores = os.cpu_count() or 1
     if workers > cores:
@@ -283,14 +266,4 @@ def resolve_serve_ingest(chunk_size, workers) -> tuple[int, int]:
             f"serve workers {workers} exceeds {cores} cpu core(s); "
             f"clamping to {cores}", RuntimeWarning, stacklevel=2)
         workers = cores
-    if workers == 1:
-        workers = 0
-    if workers >= 2 and chunk_size == 0:
-        # Sharding rides on chunked ingest, exactly like `bps watch`.
-        chunk_size = 4096
-    if chunk_size > 1 << 20:
-        warnings.warn(
-            f"serve chunk size {chunk_size} is unreasonable; "
-            f"clamping to {1 << 20}", RuntimeWarning, stacklevel=2)
-        chunk_size = 1 << 20
-    return chunk_size, workers
+    return 0 if workers == 1 else workers

@@ -44,8 +44,6 @@ class ServeConfig:
     budget: TenantBudget = field(default_factory=TenantBudget)
     error_mode: str = "salvage"
     max_error_ratio: float = 0.25
-    #: Per-record (0) or columnar batches of this many rows.
-    chunk_size: int = 0
     #: Shard workers per tenant (< 2 = inline single stream).
     workers: int = 0
     #: Tenants idle longer than this are evicted (None = never).
@@ -165,7 +163,6 @@ class TenantRegistry:
             attribute=config.attribute,
             sinks=sinks,
             sink_errors=config.sink_errors,
-            chunk_size=config.chunk_size,
             workers=config.workers,
             clock=self.clock,
         )

@@ -11,7 +11,7 @@ misbehaving client cannot touch another tenant's numbers:
   into arrears the *connection handler* sleeps before the next read,
   so the kernel's TCP window — not an unbounded Python queue — pushes
   back on the flooding client;
-- **load shedding** (rung 3) and **eviction** (rung 4) verdicts come
+- **load shedding** (rung 2) and **eviction** (rung 3) verdicts come
   from the tenant's :class:`~repro.serve.budget.IngestMeter` with
   exact accounting;
 - **crash/garbage isolation**: decode failures burn the tenant's own
@@ -208,9 +208,8 @@ class BpsServer:
         task.add_done_callback(self._conn_tasks.discard)
         self.connections_accepted += 1
         writer.transport.set_write_buffer_limits(high=WRITE_HIGH_WATER)
-        tenant: Tenant | None = None
         try:
-            tenant = await self._stream_loop(reader, writer)
+            await self._stream_loop(reader, writer)
         except asyncio.CancelledError:
             raise
         except (ConnectionError, TimeoutError):
@@ -218,14 +217,6 @@ class BpsServer:
         except Exception:  # noqa: BLE001 — one connection, not the loop
             self.protocol_errors += 1
         finally:
-            if tenant is not None and tenant.chunk_size > 0 \
-                    and tenant.state == ACTIVE:
-                # Client gone mid-stream: fold buffered rows in so the
-                # scrape keeps seeing this tenant's exact totals.
-                try:
-                    tenant.flush_chunks()
-                except Exception:  # noqa: BLE001
-                    pass
             writer.close()
             try:
                 await writer.wait_closed()

@@ -32,7 +32,6 @@ from typing import Callable
 
 from repro.errors import SalvageError, TraceFormatError
 from repro.live.anomaly import BpsAnomalyDetector
-from repro.live.chunk import RecordChunk
 from repro.live.shard import ShardedMetricStream
 from repro.live.stream import LiveResult, MetricStream
 from repro.serve.budget import Admission, IngestMeter, TenantBudget
@@ -142,7 +141,6 @@ class Tenant:
         attribute: bool = False,
         sinks=(),
         sink_errors: str | None = "disable",
-        chunk_size: int = 0,
         workers: int = 0,
         clock: Callable[[], float] = None,
     ) -> None:
@@ -174,13 +172,7 @@ class Tenant:
             ErrorPolicy(error_mode, max_error_ratio=max_error_ratio),
             f"tenant:{name}")
         self._line_number = 0
-        if workers >= 2 and chunk_size <= 0:
-            # The sharded engine is chunk-only; never silently drop to
-            # the (nonexistent) per-record path.
-            chunk_size = 4096
-        self.chunk_size = chunk_size
         self.workers = workers
-        self._chunk_buffer: list = []
         self._max_duration = 0.0
         self._last_end = float("-inf")
         attributor = None
@@ -192,15 +184,15 @@ class Tenant:
         if workers >= 2:
             self.stream = ShardedMetricStream(
                 window=window, shards=workers, block_size=block_size,
-                origin=origin, max_pending=self.budget.max_pending,
-                late_policy="merge", sinks=[self.prom, *sinks],
-                sink_errors=sink_errors, detector=detector)
+                origin=origin, late_policy="merge",
+                sinks=[self.prom, *sinks], sink_errors=sink_errors,
+                detector=detector)
         else:
             self.stream = MetricStream(
                 window=window, block_size=block_size, origin=origin,
-                max_pending=self.budget.max_pending, late_policy="merge",
-                sinks=[self.prom, *sinks], sink_errors=sink_errors,
-                detector=detector, attributor=attributor)
+                late_policy="merge", sinks=[self.prom, *sinks],
+                sink_errors=sink_errors, detector=detector,
+                attributor=attributor)
         self.result: LiveResult | None = None
         self.crash_error: str = ""
 
@@ -279,22 +271,7 @@ class Tenant:
             self._max_duration = record.duration
         if record.end > self._last_end:
             self._last_end = record.end
-        if self.chunk_size > 0:
-            self._chunk_buffer.append(record)
-            if len(self._chunk_buffer) >= self.chunk_size:
-                self.flush_chunks()
-            return
         self.stream.ingest(record)
-        self.stream.advance_watermark(
-            self._last_end - self._max_duration)
-
-    def flush_chunks(self) -> None:
-        """Push any buffered records through the vectorised path."""
-        if not self._chunk_buffer:
-            return
-        chunk = RecordChunk.from_records(self._chunk_buffer)
-        self._chunk_buffer = []
-        self.stream.push_chunk(chunk)
         self.stream.advance_watermark(
             self._last_end - self._max_duration)
 
@@ -330,7 +307,6 @@ class Tenant:
         self.state = state
         self.state_reason = reason
         try:
-            self.flush_chunks()
             if self.stream.ops > 0:
                 self.result = self.stream.finalize(
                     label=f"serve:{self.name}")
@@ -359,13 +335,12 @@ class Tenant:
         return self._session.report
 
     def refresh_snapshot(self) -> None:
-        """Fold buffered chunks in and refresh the scrape-state gauges."""
-        if self.state == ACTIVE and self.stream.ops == 0 \
-                and not self._chunk_buffer:
-            return
+        """Refresh the scrape-state gauges (the read folds buffered
+        records in)."""
         if self.state == ACTIVE:
             try:
-                self.flush_chunks()
+                if self.stream.ops == 0:
+                    return
                 self.prom.emit(self.stream.snapshot().as_event())
             except Exception as exc:  # noqa: BLE001
                 self._crashed(exc)
@@ -385,23 +360,37 @@ class Tenant:
             "anomalies": list(self.prom.anomalies),
         }
 
+    def _stream_counters(self) -> tuple:
+        """(records, bytes, late records) of the stream.
+
+        A read folds the stream's ingest buffer in, so it sits behind
+        the same wall as ingest: a failure quarantines this tenant and
+        leaves the stream's counters unknown (None), instead of failing
+        a roster read that covers every tenant.
+        """
+        stream = self.stream
+        try:
+            return stream.ops, stream.nbytes, stream.late_records
+        except Exception as exc:  # noqa: BLE001 — crash isolation
+            if self.state == ACTIVE:
+                self._crashed(exc)
+            return None, None, None
+
     def status(self) -> dict:
         """The JSON-API view of this tenant (exact counters only)."""
         report = self._session.report
+        records, nbytes, late = self._stream_counters()
         payload = {
             "tenant": self.name,
             "state": self.state,
             "state_reason": self.state_reason,
-            "records": self.stream.ops + len(self._chunk_buffer),
+            "records": records,
             "records_admitted": self.records_admitted,
             "duplicate_records": self.duplicate_records,
             "resumed_sessions": self.resumed_sessions,
             "next_seq": self.next_seq,
-            "bytes": self.stream.nbytes,
-            "late_records": self.stream.late_records,
-            "forced_watermarks": self.stream.forced_watermarks,
-            "max_pending": self.stream.max_pending,
-            "pending_records": self.stream.pending_records,
+            "bytes": nbytes,
+            "late_records": late,
             "quarantined_lines": report.skipped,
             "error_ratio": report.error_ratio,
             "idle_seconds": self.idle_seconds,

@@ -9,9 +9,10 @@ import pytest
 
 from repro.core.records import TraceCollection
 from repro.diagnose import diagnose_trace, ranked_suspects, stripe_server_of
+from repro.diagnose.attribute import Attributor
 from repro.errors import LiveStreamError
 from repro.faults.plan import SERVER_CRASH, FaultEvent, FaultPlan
-from repro.live import BpsAnomalyDetector, LiveTap
+from repro.live import BpsAnomalyDetector, LiveTap, MetricStream
 from repro.live.replay import watch_trace
 from repro.middleware.retry import RetryPolicy
 from repro.system import SystemConfig
@@ -82,18 +83,26 @@ class TestStreamingOfflineParity:
         assert diag.top_suspect == ranked_suspects(live.anomalies)[0]
 
     def test_chunked_replay_matches_per_record(self, crash_run):
+        """Record-at-a-time ``ingest`` (what the tap and serve tenants
+        do) and the chunked replay flag the same windows with the same
+        suspects."""
         _live, trace, exec_time = crash_run
-        by_record = watch_trace(trace, window=WINDOW, origin=0.0,
-                                detector=detector(), attribute=True,
-                                server_of=stripe_server_of(3),
-                                watermark_lag=LAG,
-                                exec_time=exec_time)
+        det = detector()
+        stream = MetricStream(
+            window=WINDOW, origin=0.0, watermark_lag=LAG, detector=det,
+            attributor=Attributor.for_detector(
+                det, window=WINDOW, origin=0.0,
+                server_of=stripe_server_of(3)))
+        for record in sorted(trace, key=lambda r: (r.end, r.start)):
+            stream.ingest(record)
+            stream.advance_watermark(record.end - LAG)
+        by_record = stream.finalize(exec_time=exec_time)
         chunked = watch_trace(trace, window=WINDOW, origin=0.0,
-                              chunk_size=64, detector=detector(),
-                              attribute=True,
+                              detector=detector(), attribute=True,
                               server_of=stripe_server_of(3),
                               watermark_lag=LAG,
                               exec_time=exec_time)
+        assert by_record.anomalies
         assert_anomalies_match(by_record.anomalies, chunked.anomalies)
 
     def test_diagnosis_report_is_json_safe(self, crash_run):

@@ -7,7 +7,7 @@ The subsystem's acceptance criteria in one place:
 - the final cumulative streamed BPS equals the batch
   :func:`~repro.core.metrics.compute_metrics` **bit-identically** on a
   corpus of traces covering every producer we have, including
-  out-of-order delivery within the reorder bound;
+  shuffled (out-of-order) delivery;
 - during a fault-plan server crash the anomaly detector flags at least
   one window overlapping the crash, while the fault-free twin of the
   same run flags none.
@@ -133,8 +133,7 @@ class TestStreamedEqualsBatchOnCorpus:
         for name, trace in traces.items():
             records = list(trace)
             random.Random(13).shuffle(records)
-            stream = MetricStream(window=0.02, block_size=512,
-                                  reorder_capacity=len(records))
+            stream = MetricStream(window=0.02, block_size=512)
             for record in records:
                 stream.ingest(record)
             result = stream.finalize()

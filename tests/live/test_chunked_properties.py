@@ -1,11 +1,11 @@
-"""Property suite: chunked ingest == per-record ingest == batch.
+"""Property suite: chunked ingest == record-at-a-time ingest == batch.
 
-The vectorised path's acceptance property, pinned under Hypothesis:
+The one fold path's acceptance property, pinned under Hypothesis:
 however a delivery sequence is cut into chunks — including chunk
-boundaries landing mid-window, adversarial watermark lag, a reorder
-heap squeezed down to a few slots, or the chunks fanned out over 1..3
-shard processes — the settled result agrees with per-record ingest and
-with the batch pipeline:
+boundaries landing mid-window, adversarial watermark lag, or the chunks
+fanned out over 1..3 shard processes — the settled result agrees with
+record-at-a-time :meth:`MetricStream.ingest` and with the batch
+pipeline:
 
 - **exactly** (``==``) for everything integer-or-union-derived:
   cumulative ops/blocks/bytes, union I/O time, BPS, IOPS, bandwidth,
@@ -14,6 +14,10 @@ with the batch pipeline:
   ARPT duration sum (the documented deviation in
   :mod:`repro.live.chunk` — a window's mass spanning a chunk boundary
   accumulates in a different grouping).
+
+Record-at-a-time ingest also settles windows at the same points as a
+chunked feed cut where the stream's own watermark crosses a window
+edge: the window and anomaly event sequences agree.
 """
 
 import math
@@ -23,7 +27,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.metrics import compute_metrics
 from repro.core.records import IORecord, TraceCollection
-from repro.live import MetricStream, RecordChunk, ShardedMetricStream
+from repro.live import (
+    BpsAnomalyDetector,
+    MemorySink,
+    MetricStream,
+    RecordChunk,
+    ShardedMetricStream,
+)
 
 finite_start = st.floats(min_value=0.0, max_value=100.0,
                          allow_nan=False, allow_infinity=False)
@@ -72,6 +82,7 @@ def _chunks(records, cuts):
 
 
 def _per_record(records, window, **kwargs):
+    """Record-at-a-time delivery through the buffered ``ingest``."""
     stream = MetricStream(window=window, **kwargs)
     for record in records:
         stream.ingest(record)
@@ -147,17 +158,6 @@ class TestChunkedEqualsPerRecord:
         out = _chunked(records, cuts, window, watermark_lag=lag)
         _assert_equivalent(out, ref)
 
-    @given(case=deliveries(),
-           capacity=st.integers(min_value=1, max_value=6))
-    @settings(max_examples=60, deadline=None)
-    def test_tiny_reorder_heap(self, case, capacity):
-        """Forced watermarks degrade lateness, never cumulative truth."""
-        records, cuts, window = case
-        out = _chunked(records, cuts, window, max_pending=capacity)
-        batch = _batch(records, out)
-        assert out.metrics.bps == batch.bps
-        assert out.metrics.union_io_time == batch.union_io_time
-
     @given(case=deliveries())
     @settings(max_examples=60, deadline=None)
     def test_chunked_equals_batch(self, case):
@@ -192,3 +192,60 @@ class TestShardedEqualsBatch:
         batch = _batch(records, out)
         assert out.metrics.bps == batch.bps
         assert out.metrics.union_io_time == batch.union_io_time
+
+
+def _settle_cuts(records, window, lag):
+    """Cut right after each record whose start-driven watermark
+    (``start - lag``) crosses into a window past every earlier one —
+    the only deliveries that can settle a window."""
+    origin = records[0].start
+    cuts = {0, len(records)}
+    top = None
+    for k, record in enumerate(records):
+        index = math.floor((record.start - lag - origin) / window)
+        if top is not None and index > top:
+            cuts.add(k + 1)
+        top = index if top is None else max(top, index)
+    return sorted(cuts)
+
+
+def _events(records, window, lag, feed):
+    sink = MemorySink()
+    stream = MetricStream(window=window, watermark_lag=lag, sinks=[sink],
+                          detector=BpsAnomalyDetector(min_history=2))
+    feed(stream)
+    stream.finalize()
+    return sink.events
+
+
+class TestIngestSettlesLikeChunks:
+    @given(records=record_lists(),
+           window=st.floats(min_value=0.5, max_value=40.0,
+                            allow_nan=False),
+           lag=st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
+    @settings(max_examples=100, deadline=None)
+    def test_same_window_events_and_anomalies(self, records, window, lag):
+        def one_at_a_time(stream):
+            for record in records:
+                stream.ingest(record)
+
+        def cut_at_settle_points(stream):
+            for chunk in _chunks(records, _settle_cuts(records, window,
+                                                       lag)):
+                stream.push_chunk(chunk)
+
+        got = _events(records, window, lag, one_at_a_time)
+        want = _events(records, window, lag, cut_at_settle_points)
+        assert [e["type"] for e in got] == [e["type"] for e in want]
+        for a, b in zip(got, want):
+            if a["type"] == "window":
+                assert (a["index"], a["ops"], a["io_time"]) == \
+                    (b["index"], b["ops"], b["io_time"])
+                for key in ("blocks", "bytes", "bps", "bandwidth",
+                            "arpt"):
+                    assert math.isclose(a[key], b[key], rel_tol=1e-9,
+                                        abs_tol=1e-9), key
+            elif a["type"] == "anomaly":
+                assert a["index"] == b["index"]
+                assert math.isclose(a["bps"], b["bps"], rel_tol=1e-9,
+                                    abs_tol=1e-9)

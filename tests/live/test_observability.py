@@ -58,7 +58,7 @@ class TestPrometheusAnomalyFamilies:
         sink.emit(stalled_anomaly().as_event())
         text = path.read_text()
         assert "repro_anomalies_total 2" in text
-        assert "repro_live_anomalies_total 2" in text
+        assert "repro_live_anomalies_total" not in text
         assert "repro_last_anomaly_severity +Inf" in text
 
     def test_severity_gauge_absent_until_first_flag(self, tmp_path):
@@ -67,8 +67,8 @@ class TestPrometheusAnomalyFamilies:
         sink.emit({"type": "window", "bps": 100.0})
         assert "repro_last_anomaly_severity" not in path.read_text()
 
-    def test_legacy_4_tuple_states_still_render(self):
-        text = format_prometheus([({}, {"bps": 10.0}, {}, 3)])
+    def test_unflagged_state_has_no_severity(self):
+        text = format_prometheus([({}, {"bps": 10.0}, {}, 3, None)])
         assert "repro_anomalies_total 3" in text
         assert "repro_last_anomaly_severity" not in text
 
@@ -120,6 +120,7 @@ class TestFinalizeFlagDelivery:
         # changes the stats; must not create a retroactive flag).
         stream.ingest(IORecord(pid=0, op="read", nbytes=512,
                                start=1.95, end=1.96))
+        assert stream.late_records == 1  # a read folds the buffer in
         assert 1 in stream._dirty_windows
         # The detector's baseline then shoots up (a fail-fast storm).
         detector._baseline.extend([1e9] * 8)

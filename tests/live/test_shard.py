@@ -227,28 +227,3 @@ class TestPartialStateRoundTrip:
         used.push_chunk(next(chunk_trace(trace, chunk_size=50)))
         with pytest.raises(LiveStreamError, match="used stream"):
             used.restore_state(used.partial_state())
-
-
-class TestMaxPending:
-    """The documented memory-bound degradation path (satellite of the
-    sharding work: ``max_pending`` is what keeps a shard's reorder heap
-    bounded while the watermark is forced forward)."""
-
-    def test_max_pending_is_exposed_and_bounds_the_heap(self):
-        # A huge lag keeps the natural watermark behind every start, so
-        # records pile up in the reorder heap until the bound forces
-        # the watermark forward.
-        stream = MetricStream(window=1.0, max_pending=4,
-                              watermark_lag=1e6)
-        assert stream.max_pending == 4
-        for k in range(1, 51):
-            stream.ingest(IORecord(pid=0, op="read", nbytes=512,
-                                   start=float(k), end=float(k) + 0.5,
-                                   offset=0))
-            assert stream.pending_records <= 4
-        assert stream.forced_watermarks > 0
-        result = stream.finalize()
-        assert result.metrics.extras["forced_watermarks"] == \
-            stream.forced_watermarks
-        # Degradation is about lateness, never about the totals.
-        assert result.metrics.union_io_time == 50 * 0.5

@@ -78,7 +78,7 @@ class TestPrometheusSink:
         assert '# TYPE repro_live_bps gauge' in text
         assert 'repro_live_bps{scope="cumulative"}' in text
         assert 'repro_live_bps{scope="window"}' in text
-        assert "repro_live_anomalies_total 0" in text
+        assert "repro_anomalies_total 0" in text
 
     def test_final_gauges_match_result(self, tmp_path):
         path = tmp_path / "metrics.prom"
@@ -103,7 +103,7 @@ class TestPrometheusSink:
         stream.ingest(IORecord(0, "read", 512, t + 2.0, t + 2.001))
         stream.finalize()
         text = path.read_text()
-        count = int(text.rsplit("repro_live_anomalies_total ", 1)[1]
+        count = int(text.rsplit("repro_anomalies_total ", 1)[1]
                     .split()[0])
         assert count >= 1
         assert count == sink.anomaly_count

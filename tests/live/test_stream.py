@@ -1,5 +1,6 @@
 """MetricStream: windowed + cumulative live metrics."""
 
+import numpy as np
 import pytest
 
 from repro.core.metrics import compute_metrics
@@ -106,6 +107,22 @@ class TestWindows:
         assert result.windows[0].ops == 2
         assert provisional["ops"] == 1  # the stream corrected itself
 
+    def test_earlier_start_delivered_later_opens_the_series(self):
+        # Before the first window settles, a row landing below the
+        # lowest window seen moves the start of the series: its window
+        # is emitted like any other instead of being skipped.
+        sink = MemorySink()
+        stream = MetricStream(window=1.0, origin=0.0, sinks=[sink])
+        stream.ingest(IORecord(0, "read", 512, 2.5, 2.6))
+        stream.ingest(IORecord(1, "read", 512, 1.2, 1.3))  # started first
+        stream.ingest(IORecord(0, "read", 512, 3.5, 3.6))
+        assert [e["index"] for e in sink.of_type("window")] == [1, 2]
+        assert sink.of_type("window")[0]["ops"] == 1
+        assert stream.late_records == 1  # under the 2.5 watermark
+        assert stream.late_window_updates == 0
+        result = stream.finalize()
+        assert [w.index for w in result.windows] == [1, 2, 3]
+
     def test_spread_is_overlap_proportional(self):
         stream = MetricStream(window=1.0, block_size=512, origin=0.0)
         # 2 blocks over [0.5, 1.5): half the mass in each window.
@@ -135,9 +152,11 @@ class TestBreakdowns:
     def test_custom_group(self):
         stream = MetricStream(
             window=0.1,
-            group_by={"file": lambda r: r.file or "?"})
+            group_columns={"half": lambda chunk: np.where(
+                chunk.offset < 3 * 4096, "low", "high")})
         feed(stream, steady_records(n=6))
-        assert {g.key for g in stream.breakdown("file")} == {"f"}
+        halves = {g.key: g.ops for g in stream.breakdown("half")}
+        assert halves == {"low": 3, "high": 3}
 
     def test_unknown_group_rejected(self):
         stream = MetricStream(window=0.1)
@@ -177,3 +196,59 @@ class TestContract:
         stream.finalize()
         assert sink.of_type("final")
         assert sink.closed
+
+
+class TestIngestBuffer:
+    """``ingest`` buffers rows; every query must still see them."""
+
+    QUERIES = {
+        "ops": lambda s: s.ops,
+        "snapshot": lambda s: s.snapshot().ops,
+        "breakdown": lambda s: sum(g.ops for g in s.breakdown("pid")),
+        "union_io_time": lambda s: s.union_io_time(),
+        "partial_state": lambda s: s.partial_state()["ops"],
+        "finalize": lambda s: s.finalize().metrics.app_ops,
+    }
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_query_sees_buffered_rows(self, query):
+        records = steady_records(n=4, gap=0.001, dur=0.002)
+        stream = MetricStream(window=1.0)
+        for record in records:
+            stream.ingest(record)
+        assert stream._rows  # all in window 0: nothing settled yet
+        got = self.QUERIES[query](stream)
+        if query == "union_io_time":
+            assert got == compute_metrics(TraceCollection(records),
+                                          exec_time=1.0).union_io_time
+        else:
+            assert got == len(records)
+        assert not stream._rows
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_refused_before_buffering(self, bad):
+        records = steady_records(n=4, gap=0.001, dur=0.002)
+        stream = MetricStream(window=1.0)
+        for record in records:
+            stream.ingest(record)
+        with pytest.raises(LiveStreamError, match="non-finite"):
+            stream.ingest(IORecord(0, "read", 512, bad, bad))
+        # Nothing of the refused row stays behind to break reads.
+        assert stream.ops == len(records)
+        assert stream.finalize().metrics.app_ops == len(records)
+
+    def test_infinite_watermark_settles_every_window(self):
+        sink = MemorySink()
+        stream = MetricStream(window=0.1, sinks=[sink])
+        for record in steady_records(n=20):
+            stream.ingest(record)
+        stream.advance_watermark(np.inf)
+        assert [e["index"] for e in sink.of_type("window")] == [0, 1, 2]
+
+    def test_full_buffer_folds_in(self, monkeypatch):
+        monkeypatch.setattr("repro.live.stream.CHUNK_ROWS", 3)
+        stream = MetricStream(window=100.0)
+        for record in steady_records(n=7):
+            stream.ingest(record)
+        # The first row folds alone (no watermark yet), then 3 + 3.
+        assert stream._ops == 7 and not stream._rows

@@ -8,7 +8,7 @@ from repro.serve.budget import (
     IngestMeter,
     TenantBudget,
     clamp_positive,
-    resolve_serve_ingest,
+    resolve_serve_workers,
 )
 
 
@@ -27,13 +27,12 @@ class TestTenantBudget:
     def test_defaults_are_unlimited(self):
         budget = TenantBudget()
         assert budget.unlimited
-        assert budget.max_pending == 4096
 
     @pytest.mark.parametrize("kwargs", [
         {"max_bytes_per_sec": 0},
         {"max_bytes_per_sec": -1},
         {"max_records_per_sec": 0.0},
-        {"max_pending": 0},
+        {"burst_seconds": float("nan")},
         {"burst_seconds": 0.0},
         {"shed_factor": 0.5},
         {"evict_after_sheds": 0},
@@ -43,8 +42,7 @@ class TestTenantBudget:
             TenantBudget(**kwargs)
 
     def test_ladder_names(self):
-        assert SHED_LADDER == ("exact", "throttle", "force", "shed",
-                               "evict")
+        assert SHED_LADDER == ("exact", "throttle", "shed", "evict")
 
 
 class TestIngestMeter:
@@ -97,7 +95,7 @@ class TestIngestMeter:
         outcomes = [meter.admit(64) for _ in range(100)]
         sheds = [o for o in outcomes if o.action == "shed"]
         admits = [o for o in outcomes if o.admitted]
-        assert sheds and all(o.rung == 3 for o in sheds)
+        assert sheds and all(o.rung == 2 for o in sheds)
         assert meter.records_shed == len(sheds)
         assert meter.bytes_shed == 64 * len(sheds)
         assert meter.records_admitted == len(admits)
@@ -118,7 +116,7 @@ class TestIngestMeter:
             if last.action == "evict":
                 break
         assert last is not None and last.action == "evict"
-        assert last.rung == 4
+        assert last.rung == 3
         assert meter.evicted
         assert meter.records_shed == budget.evict_after_sheds + 1
         # Once evicted, everything is refused.
@@ -150,43 +148,30 @@ class TestClamping:
         assert clamp_positive("knob", "12", 7) == 12
 
     def test_resolve_defaults_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_CHUNK_SIZE", raising=False)
         monkeypatch.delenv("REPRO_SERVE_WORKERS", raising=False)
-        assert resolve_serve_ingest(None, None) == (0, 0)
+        assert resolve_serve_workers(None) == 0
 
     def test_resolve_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_CHUNK_SIZE", "512")
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "0")
-        assert resolve_serve_ingest(None, None) == (512, 0)
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        monkeypatch.setenv("REPRO_SERVE_WORKERS", "3")
+        assert resolve_serve_workers(None) == 3
 
     def test_resolve_garbage_env_never_crashes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_CHUNK_SIZE", "lots")
         monkeypatch.setenv("REPRO_SERVE_WORKERS", "-4")
         with pytest.warns(RuntimeWarning):
-            chunk, workers = resolve_serve_ingest(None, None)
-        assert (chunk, workers) == (0, 0)
+            assert resolve_serve_workers(None) == 0
+        monkeypatch.setenv("REPRO_SERVE_WORKERS", "lots")
+        with pytest.warns(RuntimeWarning):
+            assert resolve_serve_workers(None) == 0
 
     def test_resolve_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_CHUNK_SIZE", "512")
-        assert resolve_serve_ingest(128, 0) == (128, 0)
-
-    def test_workers_imply_chunked_ingest(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        chunk, workers = resolve_serve_ingest(0, 2)
-        assert workers == 2
-        assert chunk == 4096  # sharding rides on chunked ingest
+        monkeypatch.setenv("REPRO_SERVE_WORKERS", "3")
+        assert resolve_serve_workers(0) == 0
 
     def test_single_worker_collapses_to_inline(self):
-        assert resolve_serve_ingest(0, 1) == (0, 0)
+        assert resolve_serve_workers(1) == 0
 
     def test_workers_clamped_to_cores(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 4)
         with pytest.warns(RuntimeWarning, match="cpu core"):
-            chunk, workers = resolve_serve_ingest(256, 64)
-        assert workers == 4
-        assert chunk == 256
-
-    def test_unreasonable_chunk_clamped(self):
-        with pytest.warns(RuntimeWarning, match="unreasonable"):
-            chunk, _ = resolve_serve_ingest(1 << 24, 0)
-        assert chunk == 1 << 20
+            assert resolve_serve_workers(64) == 4

@@ -136,7 +136,7 @@ class TestAggregatedViews:
         text = registry.prometheus_text()
         assert 'repro_live_bps{tenant="a",scope="cumulative"}' in text
         assert 'repro_live_bps{tenant="b",scope="cumulative"}' in text
-        assert 'repro_live_anomalies_total{tenant="a"} 0' in text
+        assert 'repro_anomalies_total{tenant="a"} 0' in text
 
     def test_file_and_scrape_expositions_identical(self, tmp_path):
         prom = tmp_path / "serve.prom"

@@ -257,8 +257,11 @@ class TestIsolationUnderChaos:
         assert len(got.windows) == len(expected.windows)
         for g, w in zip(got.windows, expected.windows):
             assert g.io_time == w.io_time
-            assert g.bps == w.bps
             assert g.ops == w.ops
+            # Scrapes fold the tenant's ingest buffer in at other
+            # points than the reference's, and a window's float mass
+            # depends on those cuts up to re-association only.
+            assert g.bps == pytest.approx(w.bps, rel=1e-12)
 
         # The neighbours met their documented fates.
         assert garbage_reply["type"] == "error"
@@ -434,3 +437,67 @@ class TestHttpSurface:
         assert scrape_text == file_text
         assert 'repro_live_bps{tenant="a",scope="cumulative"}' \
             in scrape_text
+
+
+class TestPoisonRecord:
+    """A record that decodes but has NaN timestamps must be refused at
+    its own line: the tenant is quarantined there, what it admitted
+    before settles normally, and nothing it leaves behind breaks the
+    reads of the tenant or its neighbours."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_nan_record_quarantines_at_its_line(self, workers):
+        good = steady_records(60)
+        neighbour = steady_records(40, pid=3)
+        nan_line = (b'{"pid": 0, "op": "read", "nbytes": 1, '
+                    b'"start": NaN, "end": NaN}\n')
+        # Crosses a window, so a row left buffered would be folded.
+        after = IORecord(pid=1, op="read", nbytes=4096, start=5.0,
+                         end=5.01)
+
+        async def scenario():
+            server = await start_server(window=0.1, workers=workers)
+            try:
+                n_reader, n_writer = await hello(server, "neighbour")
+                await stream_records(n_writer, neighbour)
+                reader, writer = await hello(server, "poisoned")
+                await stream_records(writer, good)
+                writer.write(nan_line + record_json(after).encode())
+                await writer.drain()
+                while True:
+                    reply = json.loads(await reader.readline())
+                    if reply["type"] != "ack":
+                        break
+                writer.close()
+                roster = await http_request(server, "GET", "/tenants")
+                detail = await http_request(server, "GET",
+                                            "/tenants/poisoned")
+                ended = await end_stream(n_reader, n_writer)
+                n_writer.close()
+                return server, reply, roster, detail, ended
+            finally:
+                await server.drain()
+
+        server, reply, roster, detail, ended = run_async(scenario())
+        assert reply["type"] == "error"
+        assert reply["state"] == QUARANTINED
+        assert "non-finite" in reply["error"]
+
+        poisoned = server.registry.tenants["poisoned"]
+        assert poisoned.records_admitted == len(good)
+        assert poisoned.result is not None
+        final = poisoned.result.metrics
+        batch = compute_metrics(TraceCollection(good),
+                                exec_time=final.exec_time)
+        assert final.app_ops == len(good)
+        assert final.bps == batch.bps
+        assert final.union_io_time == batch.union_io_time
+
+        assert roster[0] == 200
+        listed = {t["tenant"]: t for t in json.loads(roster[1])["tenants"]}
+        assert set(listed) == {"neighbour", "poisoned"}
+        assert listed["poisoned"]["records"] == len(good)
+        assert listed["poisoned"]["final"]["ops"] == len(good)
+        assert detail[0] == 200
+        assert json.loads(detail[1])["state"] == QUARANTINED
+        assert ended["final"]["ops"] == len(neighbour)

@@ -49,12 +49,16 @@ def make_tenant(**kwargs):
 
 
 class TestExactness:
-    @pytest.mark.parametrize("chunk_size", [0, 64])
-    def test_final_metrics_bit_identical_to_batch(self, chunk_size):
+    @pytest.mark.parametrize("scrape_every", [0, 64])
+    def test_final_metrics_bit_identical_to_batch(self, scrape_every):
+        # Scrapes fold the ingest buffer in at arbitrary points; the
+        # settled totals must not notice.
         records = steady_records()
-        tenant = make_tenant(chunk_size=chunk_size)
-        for record in records:
+        tenant = make_tenant()
+        for k, record in enumerate(records, 1):
             assert tenant.feed_record(record).kind == "ok"
+            if scrape_every and k % scrape_every == 0:
+                tenant.refresh_snapshot()
         result = tenant.end()
         assert tenant.state == DRAINED
         batch = compute_metrics(TraceCollection(records),
@@ -83,19 +87,41 @@ class TestExactness:
 
     def test_sharded_workers_bit_identical(self):
         records = steady_records(n=600)
-        tenant = make_tenant(workers=2, chunk_size=100)
-        for record in records:
-            assert tenant.feed_record(record).kind == "ok"
-        result = tenant.end()
-        assert result is not None
+        results = {}
+        for workers in (0, 2):
+            tenant = make_tenant(workers=workers)
+            for record in records:
+                assert tenant.feed_record(record).kind == "ok"
+            results[workers] = tenant.end()
+        sharded, inline = results[2].metrics, results[0].metrics
         batch = compute_metrics(TraceCollection(records),
-                                exec_time=result.metrics.exec_time)
-        assert result.metrics.bps == batch.bps
-        assert result.metrics.union_io_time == batch.union_io_time
+                                exec_time=sharded.exec_time)
+        assert sharded.bps == batch.bps
+        assert sharded.union_io_time == batch.union_io_time
+        for field in ("bps", "iops", "bandwidth", "union_io_time",
+                      "app_ops", "app_blocks", "app_bytes", "exec_time"):
+            assert getattr(sharded, field) == getattr(inline, field), \
+                field
 
-    def test_workers_force_chunked_ingest(self):
-        tenant = make_tenant(workers=2, chunk_size=0)
-        assert tenant.chunk_size > 0  # sharded engine is chunk-only
+    def test_workers_force_chunked_ingest(self, monkeypatch):
+        # The sharded engine takes chunks only: a sharded tenant fed
+        # one record at a time reaches its shards through the shared
+        # ingest buffer, a few chunks for many records.
+        from repro.live import ShardedMetricStream
+        pushed = []
+        fold = ShardedMetricStream._fold
+        monkeypatch.setattr(
+            ShardedMetricStream, "_fold",
+            lambda self, chunk: (pushed.append(len(chunk)),
+                                 fold(self, chunk)))
+        tenant = make_tenant(workers=2)
+        assert isinstance(tenant.stream, ShardedMetricStream)
+        records = steady_records(n=200)
+        for record in records:
+            tenant.feed_record(record)
+        result = tenant.end()
+        assert result.metrics.app_ops == sum(pushed) == len(records)
+        assert len(pushed) < len(records)
 
 
 class TestFeedLines:
@@ -180,6 +206,25 @@ class TestCrashIsolation:
         assert tenant.state == DRAINED
         assert "settle failed" in tenant.crash_error
 
+    def test_failed_read_quarantines_not_raises(self):
+        # A status read folds the ingest buffer in; if that fails, the
+        # roster read must still answer for this tenant.
+        tenant = make_tenant()
+        for record in steady_records(3):
+            tenant.feed_record(record)
+        assert tenant.stream._rows  # the read below has rows to fold
+
+        def boom(chunk):
+            raise RuntimeError("fold failed")
+
+        tenant.stream._fold = boom
+        status = tenant.status()  # must not raise
+        assert status["state"] == QUARANTINED
+        assert status["records"] is None
+        assert status["records_admitted"] == 3
+        assert "fold failed" in status["crash_error"]
+        assert tenant.status()["state"] == QUARANTINED
+
 
 class TestBudgets:
     def test_shed_records_never_reach_the_stream(self):
@@ -254,7 +299,6 @@ class TestLifecycle:
         status = tenant.status()
         assert status["state"] == ACTIVE
         assert status["records"] == 30
-        assert status["max_pending"] == 4096
         tenant.end()
         status = tenant.status()
         assert status["state"] == DRAINED
