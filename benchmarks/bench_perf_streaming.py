@@ -1,12 +1,11 @@
 """Perf bench: the streaming metrics engine at trace scale.
 
-Three figures are measured on synthetic overlapping traces:
+Two figures are measured on synthetic overlapping traces:
 
 1. **Ingest throughput** — records/second through the live pipeline
-   delivered three ways: record at a time through
-   :meth:`MetricStream.ingest` (which buffers into chunks), as columnar
-   chunks through :meth:`MetricStream.push_chunk`, and sharded
-   (:class:`~repro.live.shard.ShardedMetricStream`), plus a bare
+   delivered two ways: record at a time through
+   :meth:`MetricStream.ingest` (which buffers into chunks) and as
+   columnar chunks through :meth:`MetricStream.push_chunk`, plus a bare
    :class:`~repro.live.union.StreamingUnion` fed the same chunks for
    scale.  Every path is asserted **bit-identical** to the batch
    pipeline — the speed is only interesting because the answer is
@@ -23,11 +22,6 @@ Figures land in ``benchmarks/output/perf_streaming_ingest.{txt,json}``;
 the JSON carries the measured rates *and* the floors, and CI's
 perf-regression gate re-checks them from there.
 
-Sharded throughput only beats single-process on multi-core hosts (the
-per-chunk pickling is pure overhead on one core), so the shard speedup
-assertion is guarded on ``os.cpu_count()``; the bit-identity assertion
-runs everywhere.
-
 Set ``REPRO_BENCH_SMOKE=1`` for the CI-sized variant.
 """
 
@@ -43,7 +37,6 @@ from repro.core.metrics import compute_metrics
 from repro.core.records import TraceCollection
 from repro.live import (
     MetricStream,
-    ShardedMetricStream,
     StreamingUnion,
     chunk_trace,
 )
@@ -54,7 +47,6 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() not in ("", "0")
 
 SCALES = (10**4, 10**5) if SMOKE else (10**5, 10**6)
 CHUNK = 8192
-SHARDS = min(4, os.cpu_count() or 1)
 #: Absolute floor for *chunked* full-stream ingest at the largest scale
 #: (records/second).  Deliberately conservative — CI boxes vary, and
 #: the floor exists to catch order-of-magnitude regressions, not to
@@ -106,7 +98,7 @@ def _assert_exact(result, batch, trace, streamed_t, label):
 def test_streaming_ingest_throughput(artifact, artifact_json):
     table = TextTable(["records", "union only (rec/s)",
                        "per-record (rec/s)", "chunked (rec/s)",
-                       f"sharded x{SHARDS} (rec/s)", "== batch"])
+                       "== batch"])
     scales_out = []
     headline = {}
     for n in SCALES:
@@ -149,38 +141,24 @@ def test_streaming_ingest_throughput(artifact, artifact_json):
         _assert_exact(chunked_result, batch, trace,
                       chunked_result.metrics.union_io_time, "chunked")
 
-        sharded = ShardedMetricStream(window=window, shards=SHARDS,
-                                      block_size=512, origin=span[0])
-        t0 = time.perf_counter()
-        for chunk in chunk_trace(trace, chunk_size=CHUNK,
-                                 order="completion"):
-            sharded.push_chunk(chunk)
-        sharded_result = sharded.finalize()
-        sharded_rps = n / (time.perf_counter() - t0)
-        _assert_exact(sharded_result, batch, trace,
-                      sharded_result.metrics.union_io_time,
-                      f"sharded x{SHARDS}")
-
         headline = {"records": n, "union_rps": union_rps,
                     "per_record_rps": per_record_rps,
-                    "chunked_rps": chunked_rps,
-                    "sharded_rps": sharded_rps}
+                    "chunked_rps": chunked_rps}
         scales_out.append(dict(headline,
                                late=result.late_records,
                                windows=len(result.windows)))
         table.add_row([f"{n:.0e}", f"{union_rps:,.0f}",
                        f"{per_record_rps:,.0f}", f"{chunked_rps:,.0f}",
-                       f"{sharded_rps:,.0f}", "yes (bit-identical)"])
+                       "yes (bit-identical)"])
 
     mode = "smoke" if SMOKE else "full"
     artifact("perf_streaming_ingest",
              f"streaming metrics ingest throughput ({mode} mode, "
-             f"chunk={CHUNK}, shards={SHARDS})\n" + table.render())
+             f"chunk={CHUNK})\n" + table.render())
     artifact_json("perf_streaming_ingest", {
         "bench": "streaming_ingest_throughput",
         "mode": mode,
         "chunk_size": CHUNK,
-        "shards": SHARDS,
         "cpu_count": os.cpu_count(),
         "scales": scales_out,
         "headline": headline,
@@ -196,14 +174,6 @@ def test_streaming_ingest_throughput(artifact, artifact_json):
         f"chunked ingest {headline['chunked_rps']:,.0f} rec/s at "
         f"{SCALES[-1]:.0e} records is below the {REQUIRED_RPS:,.0f} "
         f"rec/s floor")
-    if (os.cpu_count() or 1) >= 2 * SHARDS and not SMOKE:
-        # Only meaningful with real cores behind the shards; on 1-2
-        # CPUs the per-chunk pickling is pure overhead.
-        assert headline["sharded_rps"] >= headline["chunked_rps"], (
-            f"sharded ingest {headline['sharded_rps']:,.0f} rec/s "
-            f"regressed below single-process chunked "
-            f"{headline['chunked_rps']:,.0f} rec/s on a "
-            f"{os.cpu_count()}-core host")
 
 
 def test_per_window_close_latency(artifact, artifact_json):

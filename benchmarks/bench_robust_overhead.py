@@ -8,8 +8,8 @@ points × repetitions sweep grid three ways:
 1. **plain pool** — ``ProcessPoolExecutor.map`` over the grid, the
    pre-supervision execution model (no per-job accounting, no retry,
    no journal);
-2. **supervised** — :func:`~repro.exec.supervisor.run_supervised` with
-   the default policy;
+2. **supervised** — ``run_jobs(ForkBackend(n), ...)`` with the default
+   policy;
 3. **supervised + checkpoint** — the same, with every completed job
    journalled (write + flush per job, group-committed fsync).
 
@@ -28,7 +28,9 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from repro.exec.supervisor import SupervisorPolicy, run_supervised
+from repro.exec import ForkBackend, run_jobs
+from repro.exec.checkpoint import CheckpointJournal, measurement_to_payload
+from repro.exec.supervisor import SupervisionReport, SupervisorPolicy
 from repro.experiments.runner import (
     ExperimentScale,
     SweepSpec,
@@ -98,32 +100,27 @@ def run_plain_pool(spec, jobs):
         _set_spec(None)
 
 
-def run_supervised_pool(spec, jobs, *, checkpoint=None):
+def run_fork_pool(spec, jobs, *, checkpoint=None):
+    """The fork backend under ``run_jobs``, as ``run_sweep`` drives it."""
+    journal = on_result = None
+    if checkpoint is not None:
+        journal = CheckpointJournal(checkpoint, tag="bench", resume=False)
+
+        def on_result(index, measurement):
+            journal.record(f"j{index}", measurement_to_payload(measurement))
     _set_spec(spec)
     try:
-        if checkpoint is None:
-            results, _ = run_supervised(jobs, _pool_job,
-                                        workers=WORKERS,
-                                        policy=SupervisorPolicy())
-            return results
-        from repro.exec.checkpoint import (
-            CheckpointJournal,
-            measurement_to_payload,
-        )
-        journal = CheckpointJournal(checkpoint, tag="bench",
-                                    resume=False)
-        try:
-            results, _ = run_supervised(
-                jobs, _pool_job, workers=WORKERS,
-                policy=SupervisorPolicy(),
-                on_result=lambda i, m: journal.record(
-                    f"j{i}", measurement_to_payload(m)))
+        results = run_jobs(ForkBackend(WORKERS), jobs, _pool_job,
+                           policy=SupervisorPolicy(),
+                           report=SupervisionReport(jobs=len(jobs)),
+                           on_result=on_result)
+        if journal is not None:
             journal.finalize()
-        finally:
-            journal.close()
         return results
     finally:
         _set_spec(None)
+        if journal is not None:
+            journal.close()
 
 
 #: Wall-time rounds per flavour; the minimum is compared.  Shared CI
@@ -152,11 +149,11 @@ def test_supervision_overhead(artifact, tmp_path):
     # Warm-up: fork both pool flavours once so first-run costs (imports
     # in children, page-cache state) don't bias either side.
     run_plain_pool(spec, jobs[:2])
-    run_supervised_pool(spec, jobs[:2])
+    run_fork_pool(spec, jobs[:2])
 
     plain_s, plain = timed(lambda: run_plain_pool(spec, jobs))
-    sup_s, supervised = timed(lambda: run_supervised_pool(spec, jobs))
-    ckpt_s, checkpointed = timed(lambda: run_supervised_pool(
+    sup_s, supervised = timed(lambda: run_fork_pool(spec, jobs))
+    ckpt_s, checkpointed = timed(lambda: run_fork_pool(
         spec, jobs, checkpoint=tmp_path / "bench.ckpt.jsonl"))
 
     # The insurance must not change the answer.

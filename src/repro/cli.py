@@ -551,7 +551,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         bins=args.bins,
         block_size=args.block_size,
         speed=args.speed,
-        workers=args.workers,
         sinks=sinks,
         sink_errors=args.sink_errors,
         sink_max_failures=args.sink_max_failures,
@@ -655,13 +654,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         BpsServer,
         ServeConfig,
         TenantBudget,
-        resolve_serve_workers,
         run_server,
     )
     tcp, unix, http = args.tcp, args.unix, args.http
     if not (tcp or unix or http):
         tcp = "127.0.0.1:4040"
-    workers = resolve_serve_workers(args.workers)
     max_bytes = parse_size(args.max_bytes_per_sec) \
         if args.max_bytes_per_sec else None
     budget = TenantBudget(
@@ -677,7 +674,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         budget=budget,
         error_mode=args.on_error,
         max_error_ratio=args.max_error_ratio,
-        workers=workers,
         idle_timeout=args.idle_timeout if args.idle_timeout > 0 else None,
         max_tenants=args.max_tenants,
         out_dir=args.out_dir or None,
@@ -936,9 +932,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="FACTOR|max",
                        help="pacing: 1 = real time, 10 = 10x faster, "
                             "max = no pacing (default max)")
-    watch.add_argument("--workers", type=int, default=0,
-                       help="shard ingest across N worker processes; "
-                            "0 or 1 = in-process")
     watch.add_argument("--block-size", type=int, default=512,
                        help="BPS block unit in bytes (default 512)")
     watch.add_argument("--exec-time", type=float, default=None,
@@ -1072,11 +1065,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--prom-out", default="",
                        help="also maintain the aggregated Prometheus "
                             "exposition as a textfile at this path")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="shard each tenant's ingest across "
-                            "N worker processes; 0/1 = in-process; "
-                            "clamped to the machine's cores with a "
-                            "warning (env REPRO_SERVE_WORKERS)")
     serve.add_argument("--max-body-bytes", default="", metavar="SIZE",
                        help="cap one HTTP ingest body (413 past it; "
                             "accepts 64MiB-style suffixes; default "
@@ -1096,8 +1084,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--attribute", action="store_true",
                        help="attach ranked root-cause suspects to "
                             "every flagged window (queryable via GET "
-                            "/tenants/NAME/anomalies; incompatible "
-                            "with --workers >= 2)")
+                            "/tenants/NAME/anomalies)")
     serve.add_argument("--sink-errors",
                        choices=("raise", "warn", "disable"),
                        default="disable",

@@ -9,9 +9,8 @@ pieces:
   in-process serial backend for smoke grids, and a multi-host socket
   dispatcher feeding ``bps grid-worker`` daemons;
 - :mod:`repro.exec.supervisor` — the supervision policy/report types
-  and :func:`~repro.exec.supervisor.run_supervised`, the classic
-  fork-pool entry point (per-job timeouts, bounded retry, automatic
-  serial fallback);
+  (per-job timeouts, bounded retry, automatic serial fallback) and the
+  chaos hook every backend honours;
 - :mod:`repro.exec.checkpoint` — a crash-safe JSONL journal of
   completed jobs, so interrupted sweeps resume instead of restarting
   (and never lose an acknowledged cell, SIGINT included);
@@ -40,7 +39,6 @@ from repro.exec.gridworker import serve_grid_worker
 from repro.exec.supervisor import (
     SupervisionReport,
     SupervisorPolicy,
-    run_supervised,
 )
 
 __all__ = [
@@ -55,6 +53,5 @@ __all__ = [
     "SupervisorPolicy",
     "resolve_backend",
     "run_jobs",
-    "run_supervised",
     "serve_grid_worker",
 ]

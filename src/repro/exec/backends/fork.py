@@ -1,10 +1,9 @@
 """Forked worker-pool backend — the supervised pool's transport half.
 
-This is the machinery that used to live inline in
-:func:`repro.exec.supervisor.run_supervised`: one forked process per
-worker, one duplex pipe each (:class:`~repro.exec.duplex.DuplexWorker`),
-jobs handed out one at a time so the parent always knows what a dead
-worker was running.  EOF on a pipe is the crash signal; a worker past
+One forked process per worker, one duplex pipe each
+(:class:`~repro.exec.duplex.DuplexWorker`), jobs handed out one at a
+time so the parent always knows what a dead worker was running.  EOF
+on a pipe is the crash signal; a worker past
 its per-job deadline is terminated; both cost one unit of the pool-wide
 respawn budget (``SupervisorPolicy.max_worker_respawns``), after which
 the pool stops replacing workers, drains, and reports unhealthy — the

@@ -1,17 +1,21 @@
 """Forked duplex-pipe workers — the transport both process pools share.
 
-The supervised sweep pool (:mod:`repro.exec.supervisor`) and the sharded
-streaming engine (:mod:`repro.live.shard`) hold their children the same
-way: one forked process per worker, one dedicated duplex pipe, jobs and
-results exchanged as pickled messages, EOF on the pipe as the crash
-signal.  :class:`DuplexWorker` is that shared mechanism — fork, pipe
-bookkeeping, and the terminate/join/kill retirement ladder — so each
-pool only implements its own protocol on top.
+The fork backend's pool workers (:mod:`repro.exec.backends.fork`) and
+the grid-worker job child (:mod:`repro.exec.gridworker`) hold their
+children the same way: one forked process per worker, one dedicated
+duplex pipe, jobs and results exchanged as pickled messages, EOF on
+the pipe as the crash signal.  :class:`DuplexWorker` is that shared
+mechanism — fork, pipe bookkeeping, and the terminate/join/kill
+retirement ladder — so each pool only implements its own protocol on
+top.
 
 Fork semantics matter here: the worker target and everything it closes
 over are *inherited*, never pickled, so callers can hand closures over
-live configuration (the supervisor's job function, a shard's stream
-factory) straight to the child.
+live configuration (the pool's job function) straight to the child.
+EOF works both ways: the child closes its inherited copy of the
+parent's end before it runs the target, so a child blocked in
+``recv`` sees EOF and exits when its parent dies, instead of living on
+as an orphan.
 """
 
 from __future__ import annotations
@@ -24,6 +28,12 @@ from typing import Callable
 def fork_available() -> bool:
     """Whether fork-based worker pools can run at all on this platform."""
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _child_entry(parent_conn, target: Callable, child_conn, *args) -> None:
+    """Drop the inherited parent end, then run ``target`` in the child."""
+    parent_conn.close()
+    target(child_conn, *args)
 
 
 class DuplexWorker:
@@ -42,8 +52,9 @@ class DuplexWorker:
                  ctx=None) -> None:
         ctx = ctx or get_context("fork")
         parent_conn, child_conn = ctx.Pipe(duplex=True)
-        self.process = ctx.Process(target=target,
-                                   args=(child_conn, *args),
+        self.process = ctx.Process(target=_child_entry,
+                                   args=(parent_conn, target, child_conn,
+                                         *args),
                                    daemon=True)
         self.process.start()
         child_conn.close()
@@ -54,13 +65,6 @@ class DuplexWorker:
 
     def recv(self):
         return self.conn.recv()
-
-    def poll(self, timeout: float | None = None) -> bool:
-        return self.conn.poll(timeout)
-
-    @property
-    def alive(self) -> bool:
-        return self.process.is_alive()
 
     @property
     def exitcode(self) -> int | None:

@@ -1,4 +1,4 @@
-"""Supervised execution: policy, report, and the classic fork-pool entry.
+"""Supervised execution: the policy, the report, and the chaos hook.
 
 ``ProcessPoolExecutor`` treats one dead worker as fatal: the whole pool
 raises ``BrokenProcessPool`` and every in-flight result is lost.  For a
@@ -13,12 +13,12 @@ supervision machinery that fixes this now lives in two layers under
 - the **fork transport** (:class:`repro.exec.backends.fork.ForkBackend`)
   owns pipes, worker deadlines, EOF-as-crash, and the respawn budget.
 
-:func:`run_supervised` is the stable entry point gluing the two
-together for local fork pools, with the original semantics: results in
-submission order bit-identical to a serial run, crashed/hung/raising
-jobs re-queued under a bounded retry budget, and serial in-process
-completion once the respawn budget is spent.  This module also keeps
-the policy/report types and the chaos hook shared by every backend.
+A local supervised pool is ``run_jobs(ForkBackend(n), jobs, fn)``:
+results in submission order bit-identical to a serial run,
+crashed/hung/raising jobs re-queued under a bounded retry budget, and
+serial in-process completion once the respawn budget is spent.  This
+module keeps the policy/report types and the chaos hook shared by
+every backend.
 
 Chaos hook: when ``REPRO_TEST_KILL_JOB`` is set (e.g. ``"2:exit"``,
 ``"0:hang,3:raise"``), the *first* attempt of the named job indexes is
@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 from repro.errors import SupervisionError
 from repro.exec.duplex import fork_available
@@ -42,7 +41,6 @@ __all__ = [
     "SupervisionReport",
     "SupervisorPolicy",
     "fork_available",  # re-exported; the mechanism lives in exec.duplex
-    "run_supervised",
 ]
 
 #: Exit code used by the chaos hook's ``exit`` mode (recognisable in
@@ -179,50 +177,3 @@ def _maybe_sabotage(index: int, attempt: int) -> None:
     elif mode == "raise":
         raise RuntimeError(f"chaos: injected failure for job {index}")
 
-
-def run_supervised(
-    jobs: Sequence,
-    fn: Callable,
-    *,
-    workers: int,
-    policy: SupervisorPolicy | None = None,
-    on_result: Callable[[int, object], None] | None = None,
-) -> tuple[list, SupervisionReport]:
-    """Run ``fn(job)`` for every job under fork-pool supervision.
-
-    Returns ``(results, report)`` with ``results[i] == fn(jobs[i])`` in
-    submission order.  ``on_result(index, payload)`` fires in the
-    supervisor process as each job completes (in *completion* order) —
-    the checkpoint journal's hook.  Raises
-    :class:`~repro.errors.SupervisionError` when a job exhausts its
-    retry budget.
-
-    With ``workers <= 1``, a single job, or no ``fork`` support the
-    jobs run serially in-process (no watchdog — there is no worker to
-    reap), which is also the behaviour after the respawn budget is
-    spent mid-run.
-    """
-    from repro.exec.backends.base import run_jobs
-    from repro.exec.backends.fork import ForkBackend
-
-    policy = policy or SupervisorPolicy()
-    report = SupervisionReport(jobs=len(jobs))
-
-    if workers <= 1 or len(jobs) <= 1 or not fork_available():
-        results: list = [None] * len(jobs)
-        for index in range(len(jobs)):
-            try:
-                results[index] = fn(jobs[index])
-            except Exception as exc:
-                raise SupervisionError(
-                    f"job {index} failed in serial execution: "
-                    f"{type(exc).__name__}: {exc}") from exc
-            if on_result is not None:
-                on_result(index, results[index])
-        return results, report
-
-    report.backend = "fork"
-    results = run_jobs(ForkBackend(workers), jobs, fn,
-                       policy=policy, report=report,
-                       on_result=on_result)
-    return results, report

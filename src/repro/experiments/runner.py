@@ -9,8 +9,9 @@ a :class:`~repro.core.analysis.SweepAnalysis`.
 Runs are independent by construction (fresh system per run, seed fully
 determines the simulation), so the points × repetitions grid is
 embarrassingly parallel.  :func:`run_sweep` fans the grid out over the
-**supervised** fork pool of :mod:`repro.exec.supervisor` when more than
-one worker is available: a crashed worker re-queues its job instead of
+**supervised** fork pool (:class:`~repro.exec.backends.fork.ForkBackend`
+under :func:`~repro.exec.backends.base.run_jobs`) when more than one
+worker is available: a crashed worker re-queues its job instead of
 aborting the sweep, hung jobs can be reaped by a per-job timeout, and a
 pool that keeps breaking degrades to serial execution.  Results are
 reassembled in (point, repetition) order with the exact per-rep seeds

@@ -19,9 +19,6 @@ sweep, paper §III.B/Fig. 3) becomes an online pipeline:
   sink from corrupting the metric stream;
 - :mod:`repro.live.chunk` — :class:`RecordChunk`, the columnar wire
   format behind :meth:`MetricStream.push_chunk`, the one fold path;
-- :mod:`repro.live.shard` — :class:`ShardedMetricStream`, chunked
-  ingest fanned out over N forked worker processes and re-merged at
-  the watermark, bit-identical to batch at any shard count;
 - :mod:`repro.live.tap` — :class:`LiveTap`, completion-callback feed
   from a running simulation;
 - :mod:`repro.live.replay` — :func:`watch_trace`, the paced trace
@@ -31,7 +28,6 @@ sweep, paper §III.B/Fig. 3) becomes an online pipeline:
 from repro.live.anomaly import Anomaly, BpsAnomalyDetector
 from repro.live.chunk import RecordChunk, chunk_trace
 from repro.live.replay import watch_trace
-from repro.live.shard import ShardedMetricStream
 from repro.live.sinks import (
     FailSafeSink,
     JsonlSink,
@@ -55,7 +51,6 @@ __all__ = [
     "MetricStream",
     "RecordChunk",
     "chunk_trace",
-    "ShardedMetricStream",
     "WindowStats",
     "GroupStats",
     "LiveSnapshot",

@@ -24,9 +24,7 @@ metrics are order-independent) and windows are corrected at finalize.
 Pacing is **batched**: owed trace time accumulates across deliveries
 and is slept only once it reaches :data:`PACE_QUANTUM` (wall seconds),
 so the sleep count is proportional to replayed duration, not record
-count.  ``workers >= 2`` fans the chunks out over a
-:class:`~repro.live.shard.ShardedMetricStream`; both paths settle the
-same cumulative metrics bit-for-bit.
+count.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ import numpy as np
 from repro.core.records import TraceCollection
 from repro.errors import LiveStreamError
 from repro.live.chunk import chunk_trace
-from repro.live.shard import ShardedMetricStream
 from repro.live.sinks import apply_sink_policy
 from repro.live.stream import CHUNK_ROWS, LiveResult, MetricStream
 
@@ -106,7 +103,6 @@ def watch_trace(
     block_size: int = 512,
     speed: float | None = None,
     watermark_lag: float | None = None,
-    workers: int = 0,
     sinks: Iterable = (),
     sink_errors: str | None = None,
     sink_max_failures: int = 5,
@@ -137,13 +133,6 @@ def watch_trace(
     ``attributor``); flagged windows then carry ranked ``suspects``.
     ``server_of`` maps a record to its server key for server-level
     suspects (see :func:`repro.diagnose.offline.stripe_server_of`).
-    Attribution needs the full record stream in one process and is
-    rejected with ``workers >= 2``.
-
-    ``workers >= 2`` shards the chunks across that many forked worker
-    processes (:class:`~repro.live.shard.ShardedMetricStream`; falls
-    back to one in-process stream where ``fork`` is unavailable).
-    Cumulative metrics are bit-identical either way.
     """
     if len(trace) == 0:
         raise LiveStreamError("cannot watch an empty trace")
@@ -152,8 +141,6 @@ def watch_trace(
     if watermark_lag is not None and watermark_lag <= 0:
         raise LiveStreamError(
             f"watermark lag must be > 0, got {watermark_lag}")
-    if workers < 0:
-        raise LiveStreamError(f"worker count must be >= 0, got {workers}")
     first, last = trace.span()
     if origin is None:
         origin = first
@@ -164,20 +151,14 @@ def watch_trace(
                 "trace has zero wall extent; pass an explicit window")
         window = span / max(1, bins)
 
-    if attribute or attributor is not None:
-        if workers >= 2:
-            raise LiveStreamError(
-                "attribution needs the full record stream in one "
-                "process; it is not supported with workers >= 2")
-        if attributor is None:
-            from repro.diagnose.attribute import Attributor
-            from repro.live.anomaly import BpsAnomalyDetector
+    if attribute and attributor is None:
+        from repro.diagnose.attribute import Attributor
+        from repro.live.anomaly import BpsAnomalyDetector
 
-            if detector is None:
-                detector = BpsAnomalyDetector()
-            attributor = Attributor.for_detector(
-                detector, window=window, origin=origin,
-                server_of=server_of)
+        if detector is None:
+            detector = BpsAnomalyDetector()
+        attributor = Attributor.for_detector(
+            detector, window=window, origin=origin, server_of=server_of)
 
     # Apply the fail-safe policy to caller sinks only; the on_window
     # callback is the CLI's own renderer and stays transparent.
@@ -192,17 +173,10 @@ def watch_trace(
     # watermark must honor it too, or it would outrun the promise and
     # settle windows early (orphaning still-arriving records from
     # their attribution buckets).
-    stream_lag = 0.0 if watermark_lag is None else watermark_lag
-    if workers >= 2:
-        stream = ShardedMetricStream(
-            window=window, shards=workers, block_size=block_size,
-            origin=origin, sinks=stream_sinks, detector=detector,
-            watermark_lag=stream_lag)
-    else:
-        stream = MetricStream(
-            window=window, block_size=block_size, origin=origin,
-            late_policy="merge", sinks=stream_sinks, detector=detector,
-            attributor=attributor, watermark_lag=stream_lag)
+    stream = MetricStream(
+        window=window, block_size=block_size, origin=origin,
+        sinks=stream_sinks, detector=detector, attributor=attributor,
+        watermark_lag=0.0 if watermark_lag is None else watermark_lag)
     max_duration = 0.0
     for whole in chunk_trace(trace, chunk_size=CHUNK_ROWS,
                              order="completion"):

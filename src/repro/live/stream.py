@@ -25,7 +25,7 @@ There is one fold path: :meth:`MetricStream.push_chunk` updates all of
 the above with array ops over a columnar
 :class:`~repro.live.chunk.RecordChunk`.  :meth:`MetricStream.ingest`
 is its record-at-a-time front end — it buffers records and folds them
-in as one chunk (see :class:`_Accumulator` for when).
+in as one chunk (see :class:`MetricStream` for when).
 
 Windows close when the watermark passes their right edge; closing emits
 a ``window`` event to every attached sink and feeds the anomaly
@@ -44,7 +44,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.intervals import merge_intervals, union_time
+from repro.core.intervals import union_time
 from repro.core.metrics import MetricSet
 from repro.core.records import IORecord
 from repro.errors import LiveStreamError
@@ -138,8 +138,7 @@ class LiveResult:
 
 
 class _WindowAgg:
-    __slots__ = ("ops", "blocks", "bytes", "dur_sum", "intervals",
-                 "emitted")
+    __slots__ = ("ops", "blocks", "bytes", "dur_sum", "intervals")
 
     def __init__(self) -> None:
         self.ops = 0
@@ -150,7 +149,6 @@ class _WindowAgg:
         #: window union is order-independent, so how rows were cut into
         #: chunks never changes the closed window's I/O time.
         self.intervals: list[np.ndarray] = []
-        self.emitted = False
 
     def combined_intervals(self) -> np.ndarray | None:
         """Every clipped interval of this window as one (n, 2) array."""
@@ -174,13 +172,10 @@ class _GroupAgg:
         self.union = StreamingUnion()
 
 
-class _Accumulator:
-    """The record-at-a-time front end of ``push_chunk``.
+class MetricStream:
+    """Online BPS/IOPS/bandwidth/ARPT over a stream of I/O records.
 
-    Shared by :class:`MetricStream` and
-    :class:`~repro.live.shard.ShardedMetricStream`, which supply
-    ``_fold(chunk)`` and ``_apply_watermark(to)``.  ``ingest`` only
-    buffers a record.  The buffer folds in as one
+    :meth:`ingest` only buffers a record.  The buffer folds in as one
     :class:`~repro.live.chunk.RecordChunk` when it holds
     :data:`CHUNK_ROWS` rows, when a watermark — promised from outside
     or by the stream's own start times (``start - watermark_lag``) —
@@ -196,79 +191,6 @@ class _Accumulator:
     the next flush.
     """
 
-    origin: float | None
-    window: float
-    _finalized: bool
-
-    def _init_accumulator(self, watermark_lag: float) -> None:
-        if watermark_lag < 0 or math.isnan(watermark_lag):
-            raise LiveStreamError(f"bad watermark lag {watermark_lag}")
-        self._lag = watermark_lag
-        self._rows: list[IORecord] = []
-        #: Highest watermark promised so far; applied at each flush.
-        self._ahead = -math.inf
-        #: Window index of ``_ahead`` (None until it is first known).
-        self._horizon: int | None = None
-
-    def _add_row(self, record: IORecord) -> None:
-        if self._finalized:
-            raise LiveStreamError("ingest() after finalize()")
-        # Checked here, not when the buffer folds: a bad row left in
-        # the buffer would make every later flush and read raise.
-        if not (math.isfinite(record.start) and math.isfinite(record.end)):
-            raise LiveStreamError(
-                f"non-finite interval ({record.start}, {record.end})")
-        if self.origin is None:
-            self.origin = record.start
-        rows = self._rows
-        rows.append(record)
-        if self._promise(record.start - self._lag) or \
-                len(rows) >= CHUNK_ROWS:
-            self._flush()
-
-    def _promise(self, mark: float) -> bool:
-        """Raise the pending watermark; True if that may settle a window."""
-        if not mark > self._ahead:
-            return False
-        self._ahead = mark
-        if self.origin is None or mark == math.inf:
-            return True
-        index = int(math.floor((mark - self.origin) / self.window))
-        settles = self._horizon is None or index > self._horizon
-        self._horizon = index
-        return settles
-
-    def _advance(self, to: float) -> None:
-        if math.isnan(to):
-            raise LiveStreamError("NaN watermark")
-        if self._promise(to):
-            self._flush()
-
-    def _push(self, chunk) -> None:
-        if self._finalized:
-            raise LiveStreamError("push_chunk() after finalize()")
-        if len(chunk) == 0:
-            return
-        self._fold_rows()
-        self._fold(chunk)
-        self._promise(float(chunk.start.max()) - self._lag)
-        self._apply_watermark(self._ahead)
-
-    def _fold_rows(self) -> None:
-        rows = self._rows
-        if rows:
-            self._rows = []
-            self._fold(RecordChunk.from_records(rows))
-
-    def _flush(self) -> None:
-        """Fold the buffered rows in, then apply the promised watermark."""
-        self._fold_rows()
-        self._apply_watermark(self._ahead)
-
-
-class MetricStream(_Accumulator):
-    """Online BPS/IOPS/bandwidth/ARPT over a stream of I/O records."""
-
     def __init__(
         self,
         *,
@@ -276,7 +198,6 @@ class MetricStream(_Accumulator):
         block_size: int = BLOCK_SIZE,
         origin: float | None = None,
         watermark_lag: float = 0.0,
-        late_policy: str = "merge",
         sinks: Iterable = (),
         sink_errors: str | None = None,
         sink_max_failures: int = 5,
@@ -306,9 +227,13 @@ class MetricStream(_Accumulator):
         self.sinks = apply_sink_policy(sinks, sink_errors,
                                        sink_max_failures)
         self.detector = detector
-        self._union = StreamingUnion(watermark_lag=watermark_lag,
-                                     late_policy=late_policy)
-        self._init_accumulator(watermark_lag)
+        self._union = StreamingUnion(watermark_lag=watermark_lag)
+        self._lag = watermark_lag
+        self._rows: list[IORecord] = []
+        #: Highest watermark promised so far; applied at each flush.
+        self._ahead = -math.inf
+        #: Window index of ``_ahead`` (None until it is first known).
+        self._horizon: int | None = None
         # Cumulative counters.
         self._ops = 0
         self._blocks = 0
@@ -355,9 +280,22 @@ class MetricStream(_Accumulator):
         """Deliver one completed I/O record.
 
         The record is buffered and folded in with its neighbours as one
-        chunk (see :class:`_Accumulator` for when); every query sees it.
+        chunk (see the class docstring for when); every query sees it.
         """
-        self._add_row(record)
+        if self._finalized:
+            raise LiveStreamError("ingest() after finalize()")
+        # Checked here, not when the buffer folds: a bad row left in
+        # the buffer would make every later flush and read raise.
+        if not (math.isfinite(record.start) and math.isfinite(record.end)):
+            raise LiveStreamError(
+                f"non-finite interval ({record.start}, {record.end})")
+        if self.origin is None:
+            self.origin = record.start
+        rows = self._rows
+        rows.append(record)
+        if self._promise(record.start - self._lag) or \
+                len(rows) >= CHUNK_ROWS:
+            self._flush()
 
     def push_chunk(self, chunk) -> None:
         """Fold one columnar :class:`~repro.live.chunk.RecordChunk` in.
@@ -372,11 +310,48 @@ class MetricStream(_Accumulator):
         The chunk is trusted: validation happens in
         :meth:`RecordChunk.build` / :meth:`RecordChunk.from_columns`.
         """
-        self._push(chunk)
+        if self._finalized:
+            raise LiveStreamError("push_chunk() after finalize()")
+        if len(chunk) == 0:
+            return
+        self._fold_rows()
+        self._fold(chunk)
+        self._promise(float(chunk.start.max()) - self._lag)
+        self._settle()
 
     def advance_watermark(self, to: float) -> None:
         """Externally promise no future record starts below ``to``."""
-        self._advance(to)
+        if math.isnan(to):
+            raise LiveStreamError("NaN watermark")
+        if self._promise(to):
+            self._flush()
+
+    def _promise(self, mark: float) -> bool:
+        """Raise the pending watermark; True if that may settle a window."""
+        if not mark > self._ahead:
+            return False
+        self._ahead = mark
+        if self.origin is None or mark == math.inf:
+            return True
+        index = int(math.floor((mark - self.origin) / self.window))
+        settles = self._horizon is None or index > self._horizon
+        self._horizon = index
+        return settles
+
+    def _fold_rows(self) -> None:
+        rows = self._rows
+        if rows:
+            self._rows = []
+            self._fold(RecordChunk.from_records(rows))
+
+    def _flush(self) -> None:
+        """Fold the buffered rows in, then apply the promised watermark."""
+        self._fold_rows()
+        self._settle()
+
+    def _settle(self) -> None:
+        self._union.advance_watermark(self._ahead)
+        self._close_settled_windows()
 
     def _fold(self, chunk) -> None:
         if self.origin is None:
@@ -402,10 +377,6 @@ class MetricStream(_Accumulator):
             self._last_end = last_end
         self._spread_chunk_groups(chunk, blocks)
         self._spread_chunk_windows(chunk, blocks, duration)
-
-    def _apply_watermark(self, to: float) -> None:
-        self._union.advance_watermark(to)
-        self._close_settled_windows()
 
     # -- windows -----------------------------------------------------------
 
@@ -556,8 +527,6 @@ class MetricStream(_Accumulator):
             index = self._next_emit
             self._next_emit = index + 1
             stats = self._window_stats(index)
-            agg = self._windows.setdefault(index, _WindowAgg())
-            agg.emitted = True
             self._emit(stats.as_event())
             self._observe(stats)
 
@@ -717,123 +686,6 @@ class MetricStream(_Accumulator):
                 key=key, ops=agg.ops, blocks=agg.blocks, bytes=agg.bytes,
                 io_time=t, bps=agg.blocks / t if t > 0 else 0.0))
         return tuple(out)
-
-    # -- shard export ------------------------------------------------------
-
-    def partial_state(self, *, compact: bool = False) -> dict:
-        """Everything a shard must hand over for an exact global merge.
-
-        Interval unions over disjoint segment lists merge associatively,
-        so per-window interval sets and the cumulative union are
-        exported as *canonical segments*: the parent re-merges the
-        shards' segment lists and lands on the same canonical union —
-        hence the same bit-exact union times — as a single stream fed
-        every record.  Integer totals add exactly; float masses add to
-        re-association precision.  The dict is picklable (NumPy arrays
-        and scalars only) and doubles as the shard respawn snapshot
-        consumed by :meth:`restore_state`.
-        """
-        self._flush()
-        windows = {}
-        for index, agg in self._windows.items():
-            combined = agg.combined_intervals()
-            segments = (np.empty((0, 2)) if combined is None
-                        else merge_intervals(combined))
-            if compact:
-                # Replace the accumulated clip lists with their merged
-                # segments (union-of-unions: no information lost) so
-                # repeated snapshots stay O(open windows), not O(run).
-                agg.intervals = [segments] if len(segments) else []
-            windows[int(index)] = {
-                "ops": agg.ops, "blocks": agg.blocks,
-                "bytes": agg.bytes, "dur_sum": agg.dur_sum,
-                "segments": segments,
-            }
-        groups = {}
-        for name, keyed in self._groups.items():
-            groups[name] = {
-                key: {"ops": agg.ops, "blocks": agg.blocks,
-                      "bytes": agg.bytes,
-                      "segments": agg.union.segments()}
-                for key, agg in keyed.items()
-            }
-        return {
-            "origin": self.origin,
-            "ops": self._ops, "blocks": self._blocks,
-            "bytes": self._bytes, "dur_sum": self._dur_sum,
-            "failed": self._failed, "retries": self._retries,
-            "first_start": self._first_start,
-            "last_end": self._last_end,
-            "union_segments": self._union.segments(),
-            "union_watermark": self._union.watermark,
-            "late_records": self._union.late_records,
-            "late_window_updates": self.late_window_updates,
-            "min_index": self._min_index,
-            "max_index": self._max_index,
-            "last_start_index": self._last_start_index,
-            "next_emit": self._next_emit,
-            "dirty_windows": sorted(self._dirty_windows),
-            "judged_baselines": sorted(self._judged_baselines.items()),
-        } | {"windows": windows, "groups": groups}
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild from a :meth:`partial_state` snapshot (shard respawn).
-
-        Only valid on a freshly constructed stream.  Segments re-enter
-        through the same canonical-union insertion the live path uses,
-        so a restored shard is indistinguishable from one that never
-        died — the crash test replays the buffered chunks afterwards and
-        asserts the merged result is still bit-identical to batch.
-        """
-        if self._finalized or self._ops:
-            raise LiveStreamError("restore_state() on a used stream")
-        self.origin = state["origin"]
-        self._ops = state["ops"]
-        self._blocks = state["blocks"]
-        self._bytes = state["bytes"]
-        self._dur_sum = state["dur_sum"]
-        self._failed = state["failed"]
-        self._retries = state["retries"]
-        self._first_start = state["first_start"]
-        self._last_end = state["last_end"]
-        segments = state["union_segments"]
-        if len(segments):
-            self._union.add_batch(segments)
-        self._union.advance_watermark(state["union_watermark"])
-        self._ahead = state["union_watermark"]
-        self._union.records_seen = state["ops"]
-        self._union.late_records = state["late_records"]
-        self.late_window_updates = state["late_window_updates"]
-        self._min_index = state["min_index"]
-        self._max_index = state["max_index"]
-        self._last_start_index = state.get("last_start_index")
-        self._next_emit = state["next_emit"]
-        self._dirty_windows = set(state.get("dirty_windows", ()))
-        self._judged_baselines = {
-            int(index): value
-            for index, value in state.get("judged_baselines", ())}
-        for index, win in state["windows"].items():
-            agg = _WindowAgg()
-            agg.ops = win["ops"]
-            agg.blocks = win["blocks"]
-            agg.bytes = win["bytes"]
-            agg.dur_sum = win["dur_sum"]
-            if len(win["segments"]):
-                agg.intervals.append(
-                    np.asarray(win["segments"], dtype=float))
-            agg.emitted = (self._next_emit is not None
-                           and index < self._next_emit)
-            self._windows[int(index)] = agg
-        for name, keyed in state["groups"].items():
-            groups = self._groups.setdefault(name, {})
-            for key, grp in keyed.items():
-                agg = _GroupAgg()
-                agg.ops = grp["ops"]
-                agg.blocks = grp["blocks"]
-                agg.bytes = grp["bytes"]
-                if len(grp["segments"]):
-                    agg.union.add_batch(grp["segments"])
-                groups[key] = agg
 
     # -- settle ------------------------------------------------------------
 

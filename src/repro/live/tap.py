@@ -79,7 +79,6 @@ class LiveTap:
             block_size=block_size,
             origin=system.engine.now,
             watermark_lag=self.watermark_lag,
-            late_policy="merge",
             sinks=sinks,
             sink_errors=sink_errors,
             sink_max_failures=sink_max_failures,

@@ -37,12 +37,10 @@ watermark only after it has been folded in, so rows of one batch are
 never late relative to each other.
 
 An interval arriving *below* the watermark is a **late record**: the
-producer broke its ordering promise.  ``late_policy="merge"`` (default)
-still folds it in exactly — insertion is order-independent, so
-cumulative totals remain provably equal to batch — and counts it in
-:attr:`late_records` so window-level consumers can re-emit;
-``late_policy="raise"`` raises :class:`~repro.errors.LiveStreamError`
-for pipelines that need the watermark contract enforced.
+producer broke its ordering promise.  It is still folded in exactly —
+insertion is order-independent, so cumulative totals remain provably
+equal to batch — and counted in :attr:`late_records` so window-level
+consumers can re-emit.
 """
 
 from __future__ import annotations
@@ -55,22 +53,14 @@ import numpy as np
 from repro.core.intervals import merge_sweep
 from repro.errors import LiveStreamError
 
-LATE_POLICIES = ("merge", "raise")
-
 
 class StreamingUnion:
     """Online union of I/O intervals, exact under any arrival order."""
 
-    def __init__(self, *, watermark_lag: float = 0.0,
-                 late_policy: str = "merge") -> None:
+    def __init__(self, *, watermark_lag: float = 0.0) -> None:
         if watermark_lag < 0 or math.isnan(watermark_lag):
             raise LiveStreamError(f"bad watermark lag {watermark_lag}")
-        if late_policy not in LATE_POLICIES:
-            raise LiveStreamError(
-                f"unknown late policy {late_policy!r}; "
-                f"known: {', '.join(LATE_POLICIES)}")
         self.watermark_lag = watermark_lag
-        self.late_policy = late_policy
         #: Canonical union: disjoint, sorted, touching merged.
         self._starts: list[float] = []
         self._ends: list[float] = []
@@ -102,15 +92,8 @@ class StreamingUnion:
             raise LiveStreamError("NaN in interval batch")
         if np.any(arr[:, 1] < arr[:, 0]):
             raise LiveStreamError("interval ends before it starts in batch")
-        n = arr.shape[0]
-        late = arr[:, 0] < self._watermark
-        n_late = int(np.count_nonzero(late))
-        if n_late and self.late_policy == "raise":
-            raise LiveStreamError(
-                f"{n_late} late record(s) in batch below watermark "
-                f"{self._watermark}")
-        self.records_seen += n
-        self.late_records += n_late
+        self.records_seen += arr.shape[0]
+        self.late_records += int(np.count_nonzero(arr[:, 0] < self._watermark))
         seg_starts, seg_ends = merge_sweep(arr)
         for s, e in zip(seg_starts.tolist(), seg_ends.tolist()):
             self._merge_one(s, e)

@@ -20,8 +20,6 @@ from repro.serve.budget import (
     Admission,
     IngestMeter,
     TenantBudget,
-    clamp_positive,
-    resolve_serve_workers,
 )
 from repro.serve.protocol import (
     control_line,
@@ -45,8 +43,6 @@ __all__ = [
     "Admission",
     "IngestMeter",
     "TenantBudget",
-    "clamp_positive",
-    "resolve_serve_workers",
     "control_line",
     "decode_stream_line",
     "record_line",

@@ -31,8 +31,6 @@ transition is unit-testable without sockets or sleeps.
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -222,48 +220,3 @@ class IngestMeter:
             "rung_name": SHED_LADDER[self.rung],
         }
 
-
-def clamp_positive(name: str, value, default: int, *,
-                   minimum: int = 1) -> int:
-    """Warn-and-clamp validation for serve tuning knobs.
-
-    The serve path mirrors :func:`repro.experiments.runner.resolve_workers`
-    for sweeps: a bad flag or environment value on a long-running daemon
-    should degrade to a sane default with a warning, never crash the
-    service.  Accepts anything int()-able; garbage falls back to
-    ``default``, out-of-range clamps to ``minimum``.
-    """
-    try:
-        parsed = int(value)
-    except (TypeError, ValueError):
-        warnings.warn(
-            f"{name} must be an integer, got {value!r}; "
-            f"using {default}", RuntimeWarning, stacklevel=2)
-        return default
-    if parsed < minimum:
-        warnings.warn(
-            f"{name} must be >= {minimum}, got {parsed}; "
-            f"clamping to {minimum}", RuntimeWarning, stacklevel=2)
-        return minimum
-    return parsed
-
-
-def resolve_serve_workers(workers) -> int:
-    """Clamped shard-worker count per tenant for ``bps serve``.
-
-    ``0`` is the documented "off" value (one in-process stream per
-    tenant), so the minimum is 0, not 1.  The flag takes precedence;
-    ``REPRO_SERVE_WORKERS`` fills in when it is None.  Every bad value
-    warns and clamps — a fleet-wide env var typo must not take the
-    daemon down.
-    """
-    if workers is None:
-        workers = os.environ.get("REPRO_SERVE_WORKERS", "0").strip() or "0"
-    workers = clamp_positive("serve workers", workers, 0, minimum=0)
-    cores = os.cpu_count() or 1
-    if workers > cores:
-        warnings.warn(
-            f"serve workers {workers} exceeds {cores} cpu core(s); "
-            f"clamping to {cores}", RuntimeWarning, stacklevel=2)
-        workers = cores
-    return 0 if workers == 1 else workers

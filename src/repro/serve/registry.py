@@ -44,8 +44,6 @@ class ServeConfig:
     budget: TenantBudget = field(default_factory=TenantBudget)
     error_mode: str = "salvage"
     max_error_ratio: float = 0.25
-    #: Shard workers per tenant (< 2 = inline single stream).
-    workers: int = 0
     #: Tenants idle longer than this are evicted (None = never).
     idle_timeout: float | None = 300.0
     #: Fleet bound on concurrently-known tenants.
@@ -61,7 +59,7 @@ class ServeConfig:
     drop_factor: float = 3.0
     baseline_history: int = 8
     #: Root-cause attribution: attach ranked suspects to every flagged
-    #: window (needs the detector; incompatible with sharded tenants).
+    #: window (needs the detector).
     attribute: bool = False
     #: Slow-consumer bound: seconds a client may stall an ack write.
     write_timeout: float = 10.0
@@ -82,11 +80,6 @@ class ServeConfig:
         if self.idle_timeout is not None and not (self.idle_timeout > 0):
             raise ServeError(
                 f"idle_timeout must be > 0, got {self.idle_timeout}")
-        if self.attribute and self.workers >= 2:
-            raise ServeError(
-                "attribution needs each tenant's full record stream "
-                "in one process; it is not supported with sharded "
-                "tenants (workers >= 2)")
         if self.attribute and self.drop_factor <= 1.0:
             raise ServeError(
                 "attribution needs the anomaly detector; it is "
@@ -163,7 +156,6 @@ class TenantRegistry:
             attribute=config.attribute,
             sinks=sinks,
             sink_errors=config.sink_errors,
-            workers=config.workers,
             clock=self.clock,
         )
 

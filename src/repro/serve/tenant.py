@@ -32,7 +32,6 @@ from typing import Callable
 
 from repro.errors import SalvageError, TraceFormatError
 from repro.live.anomaly import BpsAnomalyDetector
-from repro.live.shard import ShardedMetricStream
 from repro.live.stream import LiveResult, MetricStream
 from repro.serve.budget import Admission, IngestMeter, TenantBudget
 from repro.serve.protocol import decode_wire_line
@@ -141,7 +140,6 @@ class Tenant:
         attribute: bool = False,
         sinks=(),
         sink_errors: str | None = "disable",
-        workers: int = 0,
         clock: Callable[[], float] = None,
     ) -> None:
         if clock is None:
@@ -172,27 +170,18 @@ class Tenant:
             ErrorPolicy(error_mode, max_error_ratio=max_error_ratio),
             f"tenant:{name}")
         self._line_number = 0
-        self.workers = workers
         self._max_duration = 0.0
         self._last_end = float("-inf")
         attributor = None
-        if attribute and detector is not None and workers < 2:
+        if attribute and detector is not None:
             from repro.diagnose.attribute import Attributor
 
             attributor = Attributor.for_detector(
                 detector, window=window, origin=origin)
-        if workers >= 2:
-            self.stream = ShardedMetricStream(
-                window=window, shards=workers, block_size=block_size,
-                origin=origin, late_policy="merge",
-                sinks=[self.prom, *sinks], sink_errors=sink_errors,
-                detector=detector)
-        else:
-            self.stream = MetricStream(
-                window=window, block_size=block_size, origin=origin,
-                late_policy="merge", sinks=[self.prom, *sinks],
-                sink_errors=sink_errors, detector=detector,
-                attributor=attributor)
+        self.stream = MetricStream(
+            window=window, block_size=block_size, origin=origin,
+            sinks=[self.prom, *sinks], sink_errors=sink_errors,
+            detector=detector, attributor=attributor)
         self.result: LiveResult | None = None
         self.crash_error: str = ""
 
@@ -321,12 +310,6 @@ class Tenant:
             self.crash_error = self.crash_error or \
                 f"{type(exc).__name__}: {exc}"
             self.result = None
-            close = getattr(self.stream, "close", None)
-            if close is not None:  # kill any shard workers left behind
-                try:
-                    close()
-                except Exception:
-                    pass
 
     # -- queries -----------------------------------------------------------
 

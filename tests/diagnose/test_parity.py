@@ -10,7 +10,6 @@ import pytest
 from repro.core.records import TraceCollection
 from repro.diagnose import diagnose_trace, ranked_suspects, stripe_server_of
 from repro.diagnose.attribute import Attributor
-from repro.errors import LiveStreamError
 from repro.faults.plan import SERVER_CRASH, FaultEvent, FaultPlan
 from repro.live import BpsAnomalyDetector, LiveTap, MetricStream
 from repro.live.replay import watch_trace
@@ -121,8 +120,3 @@ class TestStreamingOfflineParity:
             # stalled-severity sentinel).
             assert event["severity"] is None or \
                 isinstance(event["severity"], float)
-
-    def test_attribution_rejects_sharded_ingest(self, crash_run):
-        _live, trace, _exec = crash_run
-        with pytest.raises(LiveStreamError):
-            watch_trace(trace, window=WINDOW, workers=2, attribute=True)

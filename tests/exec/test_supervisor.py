@@ -1,18 +1,18 @@
-"""Supervised pool: crash isolation, timeouts, retry budget, fallback.
+"""Supervised fork pool: crash isolation, timeouts, retry budget, fallback.
 
 The chaos scenarios fork real workers and kill/hang/crash them, so this
 file skips itself entirely on platforms without the ``fork`` start
-method (the supervisor degrades to serial there anyway).
+method.
 """
 
 import pytest
 
 from repro.errors import SupervisionError
+from repro.exec import ForkBackend, run_jobs
 from repro.exec.supervisor import (
     SupervisionReport,
     SupervisorPolicy,
     fork_available,
-    run_supervised,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -23,30 +23,35 @@ def square(job):
     return job * job
 
 
+def run_pool(jobs, fn, *, workers, policy=None, on_result=None):
+    """``jobs`` through ``run_jobs`` on a ``workers``-wide fork pool."""
+    report = SupervisionReport(jobs=len(jobs), backend="fork")
+    results = run_jobs(ForkBackend(workers), jobs, fn,
+                       policy=policy or SupervisorPolicy(),
+                       report=report, on_result=on_result)
+    return results, report
+
+
 class TestSerialPaths:
-    def test_workers_one_runs_serially(self):
-        results, report = run_supervised([1, 2, 3], square, workers=1)
-        assert results == [1, 4, 9]
-        assert report.jobs == 3
-        assert report.pooled == 0
-        assert not report.serial_fallback
+    def test_serial_job_error_wraps_supervision_error(self, monkeypatch):
+        # Job 0 kills the only worker and no respawn is allowed, so the
+        # pool finishes serially in-process, where job 1 raises.
+        monkeypatch.setenv("REPRO_TEST_KILL_JOB", "0:exit")
 
-    def test_single_job_runs_serially(self):
-        results, report = run_supervised([7], square, workers=4)
-        assert results == [49]
-        assert report.pooled == 0
-
-    def test_serial_job_error_wraps_supervision_error(self):
-        def boom(_job):
-            raise ValueError("bad job")
-        with pytest.raises(SupervisionError, match="bad job"):
-            run_supervised([1], boom, workers=1)
+        def boom(job):
+            if job == 1:
+                raise ValueError("bad job")
+            return job
+        policy = SupervisorPolicy(max_worker_respawns=0)
+        with pytest.raises(SupervisionError,
+                           match="failed in serial execution.*bad job"):
+            run_pool([0, 1], boom, workers=1, policy=policy)
 
 
 class TestPool:
     def test_results_in_submission_order(self):
         jobs = list(range(12))
-        results, report = run_supervised(jobs, square, workers=4)
+        results, report = run_pool(jobs, square, workers=4)
         assert results == [j * j for j in jobs]
         assert report.jobs == 12
         assert report.pooled == 12
@@ -59,14 +64,14 @@ class TestPool:
             assert index not in seen
             seen[index] = payload
 
-        results, _ = run_supervised(list(range(8)), square, workers=3,
-                                    on_result=on_result)
+        results, _ = run_pool(list(range(8)), square, workers=3,
+                              on_result=on_result)
         assert seen == {i: results[i] for i in range(8)}
 
     def test_job_error_is_retried_then_succeeds(self, monkeypatch):
         # Chaos hook: job 1 raises on its first attempt only.
         monkeypatch.setenv("REPRO_TEST_KILL_JOB", "1:raise")
-        results, report = run_supervised(
+        results, report = run_pool(
             list(range(6)), square, workers=2)
         assert results == [j * j for j in range(6)]
         assert report.job_errors == 1
@@ -74,7 +79,7 @@ class TestPool:
 
     def test_worker_crash_is_recovered(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_KILL_JOB", "2:exit")
-        results, report = run_supervised(
+        results, report = run_pool(
             list(range(6)), square, workers=2)
         assert results == [j * j for j in range(6)]
         assert report.crashes == 1
@@ -84,7 +89,7 @@ class TestPool:
     def test_hung_job_is_reaped_by_timeout(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_KILL_JOB", "0:hang")
         policy = SupervisorPolicy(job_timeout=0.5, poll_interval=0.05)
-        results, report = run_supervised(
+        results, report = run_pool(
             list(range(4)), square, workers=2, policy=policy)
         assert results == [j * j for j in range(4)]
         assert report.timeouts == 1
@@ -96,8 +101,8 @@ class TestPool:
         policy = SupervisorPolicy(max_retries=1)
         with pytest.raises(SupervisionError,
                            match="failed after 2 attempt"):
-            run_supervised(list(range(4)), always_fails, workers=2,
-                           policy=policy)
+            run_pool(list(range(4)), always_fails, workers=2,
+                     policy=policy)
 
     def test_serial_fallback_when_respawn_budget_spent(self, monkeypatch):
         # Every first attempt of jobs 0 and 1 kills its worker, and the
@@ -107,7 +112,7 @@ class TestPool:
         policy = SupervisorPolicy(max_worker_respawns=0)
         # The chaos hook only fires inside pool workers, so the serial
         # fallback completes the sabotaged jobs cleanly.
-        results, report = run_supervised(
+        results, report = run_pool(
             list(range(4)), square, workers=2, policy=policy)
         assert results == [j * j for j in range(4)]
         assert report.serial_fallback

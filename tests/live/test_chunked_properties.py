@@ -2,10 +2,9 @@
 
 The one fold path's acceptance property, pinned under Hypothesis:
 however a delivery sequence is cut into chunks — including chunk
-boundaries landing mid-window, adversarial watermark lag, or the chunks
-fanned out over 1..3 shard processes — the settled result agrees with
-record-at-a-time :meth:`MetricStream.ingest` and with the batch
-pipeline:
+boundaries landing mid-window or adversarial watermark lag — the
+settled result agrees with record-at-a-time
+:meth:`MetricStream.ingest` and with the batch pipeline:
 
 - **exactly** (``==``) for everything integer-or-union-derived:
   cumulative ops/blocks/bytes, union I/O time, BPS, IOPS, bandwidth,
@@ -32,7 +31,6 @@ from repro.live import (
     MemorySink,
     MetricStream,
     RecordChunk,
-    ShardedMetricStream,
 )
 
 finite_start = st.floats(min_value=0.0, max_value=100.0,
@@ -173,25 +171,6 @@ class TestChunkedEqualsPerRecord:
         assert math.isclose(sum(w.io_time for w in out.windows),
                             out.metrics.union_io_time,
                             rel_tol=1e-9, abs_tol=1e-12)
-
-
-class TestShardedEqualsBatch:
-    @given(case=deliveries(max_size=20),
-           shards=st.integers(min_value=1, max_value=3),
-           partition=st.sampled_from(["hash", "time"]))
-    @settings(max_examples=10, deadline=None)
-    def test_any_shard_count(self, case, shards, partition):
-        records, cuts, window = case
-        stream = ShardedMetricStream(window=window, shards=shards,
-                                     partition=partition, sync_every=2)
-        for chunk in _chunks(records, cuts):
-            stream.push_chunk(chunk)
-        out = stream.finalize()
-        ref = _chunked(records, cuts, window)
-        _assert_equivalent(out, ref)
-        batch = _batch(records, out)
-        assert out.metrics.bps == batch.bps
-        assert out.metrics.union_io_time == batch.union_io_time
 
 
 def _settle_cuts(records, window, lag):

@@ -206,7 +206,6 @@ class TestIngestBuffer:
         "snapshot": lambda s: s.snapshot().ops,
         "breakdown": lambda s: sum(g.ops for g in s.breakdown("pid")),
         "union_io_time": lambda s: s.union_io_time(),
-        "partial_state": lambda s: s.partial_state()["ops"],
         "finalize": lambda s: s.finalize().metrics.app_ops,
     }
 

@@ -124,12 +124,6 @@ class TestWatermark:
         assert union.late_records == 0
         assert union.watermark == 5.0
 
-    def test_late_policy_raise(self):
-        union = StreamingUnion(late_policy="raise")
-        union.add_batch(np.array([(5.0, 6.0)]))
-        with pytest.raises(LiveStreamError):
-            union.add_batch(np.array([(1.0, 2.0)]))
-
     def test_advance_watermark_is_monotonic(self):
         union = StreamingUnion()
         union.advance_watermark(3.0)
@@ -156,8 +150,6 @@ class TestContract:
     def test_rejects_bad_configuration(self):
         with pytest.raises(LiveStreamError):
             StreamingUnion(watermark_lag=-1.0)
-        with pytest.raises(LiveStreamError):
-            StreamingUnion(late_policy="drop")
 
     def test_empty_union_time_is_zero(self):
         assert StreamingUnion().union_time() == 0.0

@@ -7,8 +7,6 @@ from repro.serve.budget import (
     SHED_LADDER,
     IngestMeter,
     TenantBudget,
-    clamp_positive,
-    resolve_serve_workers,
 )
 
 
@@ -134,44 +132,3 @@ class TestIngestMeter:
         assert meter.bytes_shed == 3000
         assert meter.bytes_admitted == 1000
 
-
-class TestClamping:
-    def test_clamp_garbage_warns_and_defaults(self):
-        with pytest.warns(RuntimeWarning, match="must be an integer"):
-            assert clamp_positive("knob", "banana", 7) == 7
-
-    def test_clamp_below_minimum_warns(self):
-        with pytest.warns(RuntimeWarning, match="clamping"):
-            assert clamp_positive("knob", -3, 7, minimum=1) == 1
-
-    def test_valid_value_is_silent(self):
-        assert clamp_positive("knob", "12", 7) == 12
-
-    def test_resolve_defaults_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_WORKERS", raising=False)
-        assert resolve_serve_workers(None) == 0
-
-    def test_resolve_env_fallback(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "3")
-        assert resolve_serve_workers(None) == 3
-
-    def test_resolve_garbage_env_never_crashes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "-4")
-        with pytest.warns(RuntimeWarning):
-            assert resolve_serve_workers(None) == 0
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "lots")
-        with pytest.warns(RuntimeWarning):
-            assert resolve_serve_workers(None) == 0
-
-    def test_resolve_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "3")
-        assert resolve_serve_workers(0) == 0
-
-    def test_single_worker_collapses_to_inline(self):
-        assert resolve_serve_workers(1) == 0
-
-    def test_workers_clamped_to_cores(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        with pytest.warns(RuntimeWarning, match="cpu core"):
-            assert resolve_serve_workers(64) == 4

@@ -445,8 +445,7 @@ class TestPoisonRecord:
     before settles normally, and nothing it leaves behind breaks the
     reads of the tenant or its neighbours."""
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_nan_record_quarantines_at_its_line(self, workers):
+    def test_nan_record_quarantines_at_its_line(self):
         good = steady_records(60)
         neighbour = steady_records(40, pid=3)
         nan_line = (b'{"pid": 0, "op": "read", "nbytes": 1, '
@@ -456,7 +455,7 @@ class TestPoisonRecord:
                          end=5.01)
 
         async def scenario():
-            server = await start_server(window=0.1, workers=workers)
+            server = await start_server(window=0.1)
             try:
                 n_reader, n_writer = await hello(server, "neighbour")
                 await stream_records(n_writer, neighbour)

@@ -85,44 +85,6 @@ class TestExactness:
             assert got.io_time == want.io_time
             assert got.bps == want.bps
 
-    def test_sharded_workers_bit_identical(self):
-        records = steady_records(n=600)
-        results = {}
-        for workers in (0, 2):
-            tenant = make_tenant(workers=workers)
-            for record in records:
-                assert tenant.feed_record(record).kind == "ok"
-            results[workers] = tenant.end()
-        sharded, inline = results[2].metrics, results[0].metrics
-        batch = compute_metrics(TraceCollection(records),
-                                exec_time=sharded.exec_time)
-        assert sharded.bps == batch.bps
-        assert sharded.union_io_time == batch.union_io_time
-        for field in ("bps", "iops", "bandwidth", "union_io_time",
-                      "app_ops", "app_blocks", "app_bytes", "exec_time"):
-            assert getattr(sharded, field) == getattr(inline, field), \
-                field
-
-    def test_workers_force_chunked_ingest(self, monkeypatch):
-        # The sharded engine takes chunks only: a sharded tenant fed
-        # one record at a time reaches its shards through the shared
-        # ingest buffer, a few chunks for many records.
-        from repro.live import ShardedMetricStream
-        pushed = []
-        fold = ShardedMetricStream._fold
-        monkeypatch.setattr(
-            ShardedMetricStream, "_fold",
-            lambda self, chunk: (pushed.append(len(chunk)),
-                                 fold(self, chunk)))
-        tenant = make_tenant(workers=2)
-        assert isinstance(tenant.stream, ShardedMetricStream)
-        records = steady_records(n=200)
-        for record in records:
-            tenant.feed_record(record)
-        result = tenant.end()
-        assert result.metrics.app_ops == sum(pushed) == len(records)
-        assert len(pushed) < len(records)
-
 
 class TestFeedLines:
     def test_feed_line_decodes_and_ingests(self):
