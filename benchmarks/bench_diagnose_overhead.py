@@ -58,9 +58,11 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() not in ("", "0")
 ATTRIBUTION_OVERHEAD_BUDGET = 0.05
 END_TO_END_BUDGET = 0.50
 
-#: Absolute ceiling on the per-record graph-feed cost.  ~2-4 µs on a
-#: stock core; 15 µs catches an accidental O(windows) scan or numpy
-#: round-trip sneaking into the hot loop without racing the hardware.
+#: Absolute ceiling on the per-record graph-feed cost.  The columnar
+#: fold (array ops per chunk, a dict probe per row, a Python step per
+#: edge) costs ~3-4 µs/record on a 2-vCPU VM; 15 µs catches a
+#: per-record fold loop or an O(windows) scan creeping back in without
+#: racing the hardware.
 MICRO_CEILING_US = 15.0
 
 REPLAY_RECORDS = 20_000 if SMOKE else 60_000

@@ -53,7 +53,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.records import IORecord
 from repro.diagnose.graph import DiagnoseError, TraceGraph, WindowGraph
 from repro.faults import plan as _fault_plan
 
@@ -122,7 +121,7 @@ class Attributor:
         *,
         window: float,
         origin: float | None = None,
-        server_of: Callable[[IORecord], str] | None = None,
+        server_of: Callable | None = None,
         block_size: int = 512,
         history: int = 8,
         min_history: int = 3,
@@ -170,9 +169,6 @@ class Attributor:
                    min_history=detector.min_history, **kwargs)
 
     # -- feed --------------------------------------------------------------
-
-    def add_record(self, record: IORecord) -> None:
-        self.graph.add_record(record)
 
     def add_chunk(self, chunk) -> None:
         self.graph.add_chunk(chunk)
@@ -521,19 +517,6 @@ class Attributor:
             return False
         total = sum(d for _n, d in rows.values())
         return rows[slow[0]][1] >= 0.8 * total
-
-    @staticmethod
-    def _dominant_pid(graph: WindowGraph, server):
-        """The pid owning >= 80% of a server's window time, if any."""
-        per_pid: dict = {}
-        for e in graph.edges:
-            if e.server == server:
-                per_pid[e.pid] = per_pid.get(e.pid, 0.0) + e.dur_sum
-        total = sum(per_pid.values())
-        if total <= 0.0:
-            return None
-        pid, top = max(per_pid.items(), key=lambda kv: (kv[1], -kv[0]))
-        return pid if top >= 0.8 * total else None
 
     def _absent_server_suspects(self, graph, stats, base,
                                 by_server, by_pid) -> list[Suspect]:

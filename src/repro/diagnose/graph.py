@@ -7,14 +7,21 @@ attributor diffs against its baseline (operations, blocks, response
 time, retries, failures), and each bucket additionally keeps the
 record intervals *clipped to the window* per server, so a window's
 per-server clipped-union occupancy — who owned the window's active
-time — is computable at close.
+time — is computable at close
+(:func:`repro.core.intervals.union_time`).
+
+Records arrive as :class:`~repro.live.chunk.RecordChunk` columns and
+fold in with array operations (:meth:`TraceGraph.add_chunk`): per row,
+Python only numbers the row's edge; the bookkeeping loop runs once per
+edge a chunk touches.
 
 Two properties are load-bearing:
 
 - **window-of-start bucketing** — a record belongs wholly to the
   window containing its *start* (its interval clipped to that window's
-  bounds for occupancy).  Every accumulation is commutative, so the
-  closed bucket is independent of arrival order: the streaming feed
+  bounds for occupancy).  Counts, maxima and the interval union are
+  commutative, and each edge's response-time sum continues in row
+  order however the rows were cut into chunks, so the streaming feed
   (completion order, out of start order) and the offline replay build
   identical graphs, which is what makes streaming and offline
   attribution agree suspect-for-suspect;
@@ -22,11 +29,12 @@ Two properties are load-bearing:
   closes, so a long-running stream holds O(open windows) of graph
   state, never O(run).
 
-The ``server`` vertex comes from a caller-supplied key function
-(``server_of``), normally the stripe-layout mapping the live tap uses
-(:func:`repro.live.tap._server_key`); without one every record lands on
-``"?"`` and server-level attribution degrades gracefully to pid/op
-signals.
+The ``server`` vertex comes from a caller-supplied ``server_of``, a
+chunk -> per-row key array function (the contract of
+:class:`~repro.live.stream.MetricStream` breakdowns), normally the
+first-stripe rule :func:`repro.live.tap.first_stripe_server`; without
+one every record lands on ``"?"`` and server-level attribution
+degrades gracefully to pid/op signals.
 """
 
 from __future__ import annotations
@@ -35,8 +43,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
+from repro.core.intervals import union_time
 from repro.core.records import IORecord
 from repro.errors import ReproError
+from repro.live.chunk import RecordChunk
 
 
 class DiagnoseError(ReproError):
@@ -113,36 +125,16 @@ class WindowGraph:
         return out
 
 
-def _sweep_union(intervals: list) -> float:
-    """Union length of ``[lo, hi)`` tuples (the Fig. 3 merge sweep).
-
-    Semantically :func:`repro.core.intervals.union_time`, but a window
-    bucket holds at most a few hundred intervals per server — at that
-    size the ndarray conversion costs more than the whole sweep, and
-    this runs once per server per closed window on the live path.
-    """
-    intervals.sort()
-    total = 0.0
-    lo, hi = intervals[0]
-    for start, end in intervals:
-        if start > hi:
-            total += hi - lo
-            lo, hi = start, end
-        elif end > hi:
-            hi = end
-    return total + (hi - lo)
-
-
 class _Bucket:
-    """Open-window accumulator (mutable, order-independent sums)."""
+    """Open-window accumulator."""
 
     __slots__ = ("edges", "server_intervals", "server_max_end",
                  "pid_max_end")
 
     def __init__(self) -> None:
-        #: (pid, op, server) -> [ops, blocks, dur_sum, retries, failures]
+        #: (pid, op, server) -> [ops, blocks, retries, failures, dur_sum]
         self.edges: dict[tuple, list] = {}
-        #: server -> clipped [lo, hi) interval tuples.
+        #: server -> (k, 2) arrays of clipped [lo, hi) intervals.
         self.server_intervals: dict[str, list] = {}
         #: server -> max unclipped record end (commutative max).
         self.server_max_end: dict[str, float] = {}
@@ -154,7 +146,7 @@ class TraceGraph:
     """Incrementally maintained per-window dependency graph."""
 
     def __init__(self, *, window: float, origin: float | None = None,
-                 server_of: Callable[[IORecord], str] | None = None,
+                 server_of: Callable[[RecordChunk], np.ndarray] | None = None,
                  block_size: int = 512) -> None:
         if not (window > 0) or math.isnan(window):
             raise DiagnoseError(f"window width must be > 0, got {window}")
@@ -169,62 +161,81 @@ class TraceGraph:
     # -- feed --------------------------------------------------------------
 
     def add_record(self, record: IORecord) -> None:
-        """Fold one completed record into its start window's bucket.
+        """Fold one completed record in (a one-row :meth:`add_chunk`)."""
+        self.add_chunk(RecordChunk.from_records([record]))
 
-        This runs once per delivered record on the live path, riding
-        the same ingest loop as the metric stream, so it is written
-        flat: locals over attribute chases, no property calls, one
-        dict probe per structure.  The window index must match
+    def add_chunk(self, chunk: RecordChunk) -> None:
+        """Fold a chunk's rows into their start windows' buckets.
+
+        One dict probe per row numbers its ``(start window, pid, op,
+        server)`` edge; counts are ``bincount``\\ s over that group
+        index and max ends ``np.maximum.at``, so the bucket bookkeeping
+        runs once per edge.  The window index must match
         :meth:`repro.live.stream.MetricStream._index_of` bit-for-bit
-        (``int(floor(...))``) or a record could land in a different
-        bucket than the window it is judged under.
+        (``floor``) or a record could land in a different bucket than
+        the window it is judged under.
         """
-        origin = self.origin
-        if origin is None:
-            origin = self.origin = record.start
-        start = record.start
-        end = record.end
-        pid = record.pid
-        index = int(math.floor((start - origin) / self.window))
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            bucket = self._buckets[index] = _Bucket()
-        server = "?" if self.server_of is None else self.server_of(record)
-        edges = bucket.edges
-        key = (pid, record.op, server)
-        edge = edges.get(key)
-        if edge is None:
-            edge = edges[key] = [0, 0, 0.0, 0, 0]
-        edge[0] += 1
-        edge[1] += -(-record.nbytes // self.block_size)
-        edge[2] += end - start
-        edge[3] += record.retries
-        if not record.success:
-            edge[4] += 1
-        hi = origin + (index + 1) * self.window
-        if end < hi:
-            hi = end
-        if hi > start:
-            intervals = bucket.server_intervals.get(server)
-            if intervals is None:
-                intervals = bucket.server_intervals[server] = []
-            intervals.append((start, hi))
-        prev = bucket.server_max_end.get(server)
-        if prev is None or end > prev:
-            bucket.server_max_end[server] = end
-        prev = bucket.pid_max_end.get(pid)
-        if prev is None or end > prev:
-            bucket.pid_max_end[pid] = end
+        n = len(chunk)
+        if n == 0:
+            return
+        if self.origin is None:
+            self.origin = float(chunk.start[0])
+        start, end = chunk.start, chunk.end
+        index = np.floor((start - self.origin) / self.window).astype(
+            np.int64)
+        server = (np.full(n, "?", dtype=object) if self.server_of is None
+                  else self.server_of(chunk))
+        # Edge key -> group number, in first-seen order.
+        keys: dict = {}
+        group = np.array([keys.setdefault(key, len(keys)) for key in zip(
+            index.tolist(), chunk.pid.tolist(), chunk.op.tolist(),
+            server.tolist())])
+        edges = len(keys)
+        # Float bincounts of int64 columns are exact below 2**53.
+        counts = np.column_stack((
+            np.bincount(group, minlength=edges),
+            np.bincount(group, weights=-(-chunk.nbytes // self.block_size),
+                        minlength=edges),
+            np.bincount(group, weights=chunk.retries, minlength=edges),
+            np.bincount(group[~chunk.success], minlength=edges),
+        )).astype(np.int64).tolist()
+        reach = np.full(edges, -math.inf)
+        np.maximum.at(reach, group, end)
+        # Occupancy: each row's interval clipped to its start window.
+        hi = np.minimum(self.origin + (index + 1) * self.window, end)
+        keep = hi > start
+        kept = group[keep]
+        clipped = np.column_stack((start[keep], hi[keep]))[
+            np.argsort(kept, kind="stable")]
+        bounds = np.cumsum(np.bincount(kept, minlength=edges)).tolist()
 
-    def add_chunk(self, chunk) -> None:
-        """Fold one columnar chunk in (row order, same scalar sums).
-
-        Deliberately the scalar loop: identical float-addition order to
-        per-record ingest keeps the streaming chunked path and the
-        offline replay building bit-identical buckets.
-        """
-        for record in chunk.records():
-            self.add_record(record)
+        rows = []
+        for (w, pid, op, srv), add, last, lo, up in zip(
+                keys, counts, reach.tolist(), [0, *bounds], bounds):
+            bucket = self._buckets.get(w)
+            if bucket is None:
+                bucket = self._buckets[w] = _Bucket()
+            row = bucket.edges.get((pid, op, srv))
+            if row is None:
+                row = bucket.edges[(pid, op, srv)] = [0, 0, 0, 0, 0.0]
+            row[:4] = [a + b for a, b in zip(row, add)]
+            rows.append(row)
+            if up > lo:
+                bucket.server_intervals.setdefault(srv, []).append(
+                    clipped[lo:up])
+            if last > bucket.server_max_end.get(srv, -math.inf):
+                bucket.server_max_end[srv] = last
+            if last > bucket.pid_max_end.get(pid, -math.inf):
+                bucket.pid_max_end[pid] = last
+        # Response-time sums continue each edge's running sum in row
+        # order: bincount adds its input sequentially, and each edge's
+        # first term is its sum so far, so every chunk cut of the same
+        # rows yields the same floats.
+        dur_sum = np.bincount(
+            np.concatenate((np.arange(edges), group)),
+            weights=np.concatenate(([row[4] for row in rows], end - start)))
+        for row, total in zip(rows, dur_sum.tolist()):
+            row[4] = total
 
     # -- close -------------------------------------------------------------
 
@@ -236,12 +247,12 @@ class TraceGraph:
                                max_end={}, pid_max_end={})
         edges = tuple(
             GraphEdge(pid=pid, op=op, server=server, ops=row[0],
-                      blocks=row[1], dur_sum=row[2], retries=row[3],
-                      failures=row[4])
+                      blocks=row[1], dur_sum=row[4], retries=row[2],
+                      failures=row[3])
             for (pid, op, server), row in sorted(bucket.edges.items()))
         occupancy = {
-            server: _sweep_union(ivals)
-            for server, ivals in sorted(bucket.server_intervals.items())
+            server: union_time(np.concatenate(parts))
+            for server, parts in sorted(bucket.server_intervals.items())
         }
         return WindowGraph(index=index, edges=edges, occupancy=occupancy,
                            max_end=dict(sorted(

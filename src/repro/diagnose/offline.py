@@ -8,9 +8,9 @@ diagnosis and a live one over the same records are identical by
 construction (asserted suspect-for-suspect in the parity tests).
 
 Server attribution on a bare trace needs the stripe geometry the
-recording system used; :func:`stripe_server_of` rebuilds the offset ->
-server key from ``(n_servers, stripe_size)``, defaulting to the
-system's default layout convention (``servers[stripe % width]``,
+recording system used; :func:`stripe_server_of` rebuilds the live
+tap's first-stripe key from ``(n_servers, stripe_size)``, defaulting to
+the system's default layout convention (``servers[stripe % width]``,
 64 KiB stripes).
 """
 
@@ -19,36 +19,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.records import IORecord, TraceCollection
-from repro.diagnose.attribute import Attributor, Suspect, ranked_suspects
+from repro.core.records import TraceCollection
+from repro.diagnose.attribute import Suspect, ranked_suspects
 from repro.diagnose.graph import DiagnoseError
+from repro.live.tap import first_stripe_server
 from repro.util.units import KiB
 
 
 def stripe_server_of(n_servers: int,
                      stripe_size: int = 64 * KiB) -> Callable:
-    """Offset -> ``serverN`` key for a default striped layout.
+    """Chunk -> per-row ``serverN`` keys for a default striped layout.
 
-    Mirrors the live tap's first-stripe attribution rule
-    (:func:`repro.live.tap._server_key`): the server holding a
-    record's first byte claims the record; unknown offsets land on
-    ``"?"``.
+    The live tap's first-stripe rule
+    (:func:`repro.live.tap.first_stripe_server`) over servers
+    ``0..n_servers-1``: the server holding a record's first byte claims
+    the record; unknown offsets land on ``"?"``.
     """
     if n_servers < 1:
         raise DiagnoseError(f"server count must be >= 1, got {n_servers}")
     if stripe_size < 1:
         raise DiagnoseError(f"stripe size must be >= 1, got {stripe_size}")
-    # Interned name table: key_of runs once per record on the live
-    # ingest path, and building "serverN" there is half its cost.
-    names = tuple(f"server{i}" for i in range(n_servers))
-
-    def key_of(record: IORecord) -> str:
-        offset = record.offset
-        if offset < 0:
-            return "?"
-        return names[(offset // stripe_size) % n_servers]
-
-    return key_of
+    return first_stripe_server(range(n_servers), stripe_size)
 
 
 @dataclass(frozen=True)
@@ -92,8 +83,7 @@ def diagnose_trace(
     origin: float | None = None,
     block_size: int = 512,
     detector=None,
-    server_of: Callable[[IORecord], str] | None = None,
-    attributor: Attributor | None = None,
+    server_of: Callable | None = None,
     watermark_lag: float | None = None,
     exec_time: float | None = None,
 ) -> Diagnosis:
@@ -103,7 +93,9 @@ def diagnose_trace(
     width, or span / ``bins``); ``detector`` defaults to a stock
     :class:`~repro.live.anomaly.BpsAnomalyDetector`.  Pass ``server_of``
     (e.g. :func:`stripe_server_of`) to enable server-level suspects on
-    a trace whose offsets follow a known stripe geometry.
+    a trace whose offsets follow a known stripe geometry; like every
+    ``server_of`` it maps a :class:`~repro.live.chunk.RecordChunk` to a
+    per-row key array.
 
     ``watermark_lag`` pins the replay to a fixed settle lag instead of
     the adaptive one.  To reproduce a live run's attribution exactly,
@@ -119,6 +111,6 @@ def diagnose_trace(
     result = watch_trace(
         trace, window=window, bins=bins, origin=origin,
         block_size=block_size, detector=detector,
-        attribute=True, server_of=server_of, attributor=attributor,
+        attribute=True, server_of=server_of,
         watermark_lag=watermark_lag, exec_time=exec_time)
     return Diagnosis(result=result)

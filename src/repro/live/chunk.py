@@ -2,8 +2,10 @@
 
 :class:`RecordChunk` moves records in *columns*: one NumPy array per
 field, mirroring the :meth:`~repro.core.records.TraceCollection.to_columns`
-layout, so windows, breakdowns, and the union all update with array
-ops (:meth:`~repro.live.stream.MetricStream.push_chunk`) instead of one
+layout, so windows, breakdowns, the union and the attribution graph
+all update with array ops
+(:meth:`~repro.live.stream.MetricStream.push_chunk`,
+:meth:`~repro.diagnose.graph.TraceGraph.add_chunk`) instead of one
 Python frame per record.  Record-at-a-time delivery
 (:meth:`~repro.live.stream.MetricStream.ingest`) buffers rows and folds
 them in through the same path.
@@ -24,7 +26,9 @@ behind ARPT, and the overlap-proportional per-window block/byte masses
 Per-window *I/O times* stay exact — clipped interval endpoints are
 selected, never computed, and the per-window union is
 order-independent.  The property suite pins all of this down
-(``tests/live/test_chunked_properties.py``).
+(``tests/live/test_chunked_properties.py``).  The attribution graph is
+bit-identical under every cut: its one float sum continues in row order
+(see :mod:`repro.diagnose.graph`).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.records import IORecord, TraceCollection
+from repro.core.records import TraceCollection
 from repro.errors import LiveStreamError
 
 #: Columns a chunk carries, in wire order.  The subset of
@@ -123,7 +127,8 @@ class RecordChunk:
 
     @classmethod
     def from_records(cls, records) -> "RecordChunk":
-        """Chunk from a sequence of :class:`IORecord` (the slow inverse)."""
+        """Chunk from a sequence of :class:`~repro.core.records.IORecord`
+        (one Python pass per row: the record-at-a-time entry)."""
         records = list(records)
         n = len(records)
         return cls.build(
@@ -181,16 +186,6 @@ class RecordChunk:
             start=self.start[index], end=self.end[index],
             op=self.op[index], offset=self.offset[index],
             success=self.success[index], retries=self.retries[index])
-
-    def records(self) -> Iterator[IORecord]:
-        """Materialise rows (the attribution graph folds row by row)."""
-        for k in range(len(self)):
-            yield IORecord(
-                pid=int(self.pid[k]), op=str(self.op[k]),
-                nbytes=int(self.nbytes[k]), start=float(self.start[k]),
-                end=float(self.end[k]), offset=int(self.offset[k]),
-                success=bool(self.success[k]),
-                retries=int(self.retries[k]))
 
     def intervals(self) -> np.ndarray:
         """(n, 2) float array of (start, end) pairs, in row order."""

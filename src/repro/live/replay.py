@@ -109,7 +109,6 @@ def watch_trace(
     detector=None,
     attribute: bool = False,
     server_of: Callable | None = None,
-    attributor=None,
     exec_time: float | None = None,
     on_window: Callable[[dict], None] | None = None,
     sleep: Callable[[float], None] = _time.sleep,
@@ -129,10 +128,10 @@ def watch_trace(
     as it closes — the CLI's console renderer.
 
     ``attribute=True`` attaches an :class:`~repro.diagnose.attribute.
-    Attributor` sized to the detector's baseline (or pass a prebuilt
-    ``attributor``); flagged windows then carry ranked ``suspects``.
-    ``server_of`` maps a record to its server key for server-level
-    suspects (see :func:`repro.diagnose.offline.stripe_server_of`).
+    Attributor` sized to the detector's baseline; flagged windows then
+    carry ranked ``suspects``.  ``server_of`` maps a chunk to per-row
+    server keys for server-level suspects (see
+    :func:`repro.diagnose.offline.stripe_server_of`).
     """
     if len(trace) == 0:
         raise LiveStreamError("cannot watch an empty trace")
@@ -151,7 +150,8 @@ def watch_trace(
                 "trace has zero wall extent; pass an explicit window")
         window = span / max(1, bins)
 
-    if attribute and attributor is None:
+    attributor = None
+    if attribute:
         from repro.diagnose.attribute import Attributor
         from repro.live.anomaly import BpsAnomalyDetector
 

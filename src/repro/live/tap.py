@@ -62,8 +62,9 @@ class LiveTap:
         server_of = None
         if system.pfs is not None:
             layout = system.pfs.default_layout
-            server_of = _server_key(layout)
-            group_columns["server"] = _server_columns(layout)
+            server_of = first_stripe_server(layout.servers,
+                                            layout.stripe_size)
+            group_columns["server"] = server_of
         attributor = None
         if attribute:
             from repro.diagnose.attribute import Attributor
@@ -135,34 +136,19 @@ class LiveTap:
         return self.stream.finalize(exec_time=exec_time, label=label)
 
 
-def _server_key(layout):
-    """Server key of one record: the server holding its first stripe.
+def first_stripe_server(servers, stripe_size: int):
+    """The first-stripe rule: chunk -> per-row ``serverN`` key array.
 
     A striped request touches several servers; attributing it to the
-    one serving its first byte keeps the breakdown cheap and stable
-    (requests at unknown offsets land in ``"?"``).  The attribution
-    graph keys rows with this; the ``server`` breakdown uses
-    :func:`_server_columns`, the same rule over a whole chunk.
+    one holding its first byte (``servers[stripe % len(servers)]``)
+    keeps the breakdown cheap and stable.  Requests at unknown
+    (negative) offsets land in ``"?"``.  The tap's ``server`` breakdown,
+    its attributor and :func:`repro.diagnose.stripe_server_of` all use
+    this one function.
     """
-    stripe_size = layout.stripe_size
-    servers = layout.servers
     width = len(servers)
-
-    def key_of(record: IORecord) -> str:
-        if record.offset < 0:
-            return "?"
-        stripe = record.offset // stripe_size
-        return f"server{servers[stripe % width]}"
-
-    return key_of
-
-
-def _server_columns(layout):
-    """:func:`_server_key` over a :class:`~repro.live.chunk.RecordChunk`."""
-    stripe_size = layout.stripe_size
-    width = len(layout.servers)
     # names[stripe % width] is the server; names[width] is "?".
-    names = np.array([f"server{s}" for s in layout.servers] + ["?"],
+    names = np.array([f"server{s}" for s in servers] + ["?"],
                      dtype=object)
 
     def key_of(chunk) -> np.ndarray:

@@ -12,6 +12,7 @@ skips malformed lines into a quarantine report instead of raising; see
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import IO
 
@@ -20,6 +21,12 @@ from repro.errors import AnalysisError, TraceFormatError
 from repro.trace_io.policy import ErrorPolicy, SalvageSession
 
 _REQUIRED = ("pid", "op", "nbytes", "start", "end")
+
+#: Bytes of lines read per block.  Iterating a text handle line by line
+#: releases the GIL on every 8 KiB raw read without handing it over, so
+#: a waiting thread (a metrics scrape) can stall for the whole read;
+#: ``readlines`` blocks of about 1 MiB keep other threads running.
+READ_BLOCK_BYTES = 1 << 20
 
 
 def record_from_object(obj) -> IORecord:
@@ -87,7 +94,9 @@ def _read(handle: IO[str], name: str,
           errors: ErrorPolicy | str | None) -> TraceCollection:
     session = SalvageSession(errors, name)
     trace = TraceCollection()
-    for line_number, raw in enumerate(handle, start=1):
+    blocks = iter(lambda: handle.readlines(READ_BLOCK_BYTES), [])
+    for line_number, raw in enumerate(chain.from_iterable(blocks),
+                                      start=1):
         try:
             record = decode_jsonl_line(raw)
         except TraceFormatError as exc:

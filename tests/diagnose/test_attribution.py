@@ -17,17 +17,17 @@ from repro.diagnose import (
     DiagnoseError,
     Suspect,
     ranked_suspects,
+    stripe_server_of,
 )
 from repro.live.anomaly import Anomaly, BpsAnomalyDetector
+from repro.live.chunk import RecordChunk
 
 WINDOW = 0.1
 OFFSETS = (0, 65536, 131072)  # server0..server2 under 64 KiB stripes
 
 
-def server_of(record):
-    if record.offset < 0:
-        return "?"
-    return f"server{(record.offset // 65536) % 3}"
+def feed(att, records):
+    att.add_chunk(RecordChunk.from_records(records))
 
 
 def stats_for(index, io_time=0.06):
@@ -58,11 +58,10 @@ def healthy_records(index, dur=0.01):
 def warmed_attributor(n_healthy=5, **kwargs):
     kwargs.setdefault("window", WINDOW)
     kwargs.setdefault("origin", 0.0)
-    kwargs.setdefault("server_of", server_of)
+    kwargs.setdefault("server_of", stripe_server_of(3))
     att = Attributor(**kwargs)
     for i in range(n_healthy):
-        for record in healthy_records(i):
-            att.add_record(record)
+        feed(att, healthy_records(i))
         assert att.observe_window(stats_for(i), None) == ()
     return att
 
@@ -92,23 +91,24 @@ class TestConfig:
 class TestDiffRules:
     def test_warmup_flag_yields_no_suspects(self):
         att = warmed_attributor(n_healthy=1)
-        for record in healthy_records(1):
-            att.add_record(record)
+        feed(att, healthy_records(1))
         assert att.observe_window(stats_for(1), flag_for(1)) == ()
 
     def test_slow_server_becomes_server_degrade(self):
         att = warmed_attributor()
         w0 = 5 * WINDOW
+        records = []
         for pid in (0, 1):
-            att.add_record(IORecord(pid=pid, op="read", nbytes=4096,
+            records.append(IORecord(pid=pid, op="read", nbytes=4096,
                                     start=w0 + 0.005 * pid,
                                     end=w0 + 0.005 * pid + 0.05,
                                     offset=0))
             for k, offset in enumerate(OFFSETS[1:], start=1):
                 start = w0 + 0.02 * k + 0.005 * pid
-                att.add_record(IORecord(pid=pid, op="read", nbytes=4096,
+                records.append(IORecord(pid=pid, op="read", nbytes=4096,
                                         start=start, end=start + 0.01,
                                         offset=offset))
+        feed(att, records)
         suspects = att.observe_window(stats_for(5), flag_for(5))
         assert suspects
         top = suspects[0]
@@ -118,18 +118,20 @@ class TestDiffRules:
     def test_window_scale_hold_becomes_link_degrade(self):
         att = warmed_attributor()
         w0 = 5 * WINDOW
+        records = []
         for pid in (0, 1):
             # 15x baseline, zero failures: parked at the wire, not
             # queued at the device.
-            att.add_record(IORecord(pid=pid, op="read", nbytes=4096,
+            records.append(IORecord(pid=pid, op="read", nbytes=4096,
                                     start=w0 + 0.005 * pid,
                                     end=w0 + 0.005 * pid + 0.15,
                                     offset=0))
             for k, offset in enumerate(OFFSETS[1:], start=1):
                 start = w0 + 0.02 * k + 0.005 * pid
-                att.add_record(IORecord(pid=pid, op="read", nbytes=4096,
+                records.append(IORecord(pid=pid, op="read", nbytes=4096,
                                         start=start, end=start + 0.01,
                                         offset=offset))
+        feed(att, records)
         suspects = att.observe_window(stats_for(5), flag_for(5))
         top = suspects[0]
         assert (top.kind, top.target) == (LINK_DEGRADE, "server0")
@@ -137,17 +139,17 @@ class TestDiffRules:
     def test_concentrated_failures_become_server_stall(self):
         att = warmed_attributor()
         w0 = 5 * WINDOW
-        for i in range(3):
-            att.add_record(IORecord(pid=0, op="read", nbytes=4096,
-                                    start=w0 + 0.01 * i,
-                                    end=w0 + 0.01 * i + 0.001,
-                                    offset=0, success=False, retries=2))
+        records = [IORecord(pid=0, op="read", nbytes=4096,
+                            start=w0 + 0.01 * i, end=w0 + 0.01 * i + 0.001,
+                            offset=0, success=False, retries=2)
+                   for i in range(3)]
         for pid in (0, 1):
             for k, offset in enumerate(OFFSETS[1:], start=1):
                 start = w0 + 0.02 * k + 0.005 * pid
-                att.add_record(IORecord(pid=pid, op="read", nbytes=4096,
+                records.append(IORecord(pid=pid, op="read", nbytes=4096,
                                         start=start, end=start + 0.01,
                                         offset=offset))
+        feed(att, records)
         suspects = att.observe_window(stats_for(5), flag_for(5))
         top = suspects[0]
         assert (top.kind, top.target) == (SERVER_STALL, "server0")
@@ -163,11 +165,11 @@ class TestDiffRules:
         att = warmed_attributor()
         before = len(att._baseline)
         w0 = 5 * WINDOW
-        for i in range(10):
-            att.add_record(IORecord(pid=0, op="read", nbytes=4096,
-                                    start=w0 + 0.005 * i,
-                                    end=w0 + 0.005 * i + 0.0005,
-                                    offset=0, success=False, retries=1))
+        feed(att, [IORecord(pid=0, op="read", nbytes=4096,
+                            start=w0 + 0.005 * i,
+                            end=w0 + 0.005 * i + 0.0005,
+                            offset=0, success=False, retries=1)
+                   for i in range(10)])
         # Detector silent (fail-fast storms RAISE windowed BPS), but
         # the window must not poison later diffs.
         att.observe_window(stats_for(5), None)

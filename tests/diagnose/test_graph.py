@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.core.records import IORecord
-from repro.diagnose import DiagnoseError, TraceGraph, WindowGraph
+from repro.diagnose import (DiagnoseError, TraceGraph, WindowGraph,
+                            stripe_server_of)
 from repro.live.chunk import chunk_trace
 from repro.core.records import TraceCollection
 
@@ -16,10 +17,7 @@ def rec(pid=0, op="read", nbytes=4096, start=0.0, end=0.01, *,
                     offset=offset, success=success, retries=retries)
 
 
-def server_of_offset(record):
-    if record.offset < 0:
-        return "?"
-    return f"server{(record.offset // 65536) % 3}"
+server_of_offset = stripe_server_of(3)
 
 
 def graph_key(g: WindowGraph):
@@ -146,18 +144,21 @@ class TestOrderIndependence:
             assert_graphs_close(a.window_graph(i), b.window_graph(i))
 
     def test_chunked_ingest_matches_per_record_bit_for_bit(self):
-        records = self.records()
+        # ~17 rows per edge per window, so chunk cuts split edge sums.
+        records = self.records(n=2000)
         # Same delivery order (completion) on both paths -> identical
-        # float-addition order -> bit-identical buckets.
+        # float-addition order -> bit-identical buckets, for any cut.
         a = self.build(sorted(records, key=lambda r: (r.end, r.start)))
-        b = TraceGraph(window=0.1, origin=0.0,
-                       server_of=server_of_offset)
-        for chunk in chunk_trace(TraceCollection(records), chunk_size=17,
-                                 order="completion"):
-            b.add_chunk(chunk)
-        for i in range(12):
-            assert graph_key(a.window_graph(i)) == \
-                graph_key(b.window_graph(i))
+        for chunk_size in (1, 17, 4096):
+            b = TraceGraph(window=0.1, origin=0.0,
+                           server_of=server_of_offset)
+            for chunk in chunk_trace(TraceCollection(records),
+                                     chunk_size=chunk_size,
+                                     order="completion"):
+                b.add_chunk(chunk)
+            for i in range(12):
+                assert graph_key(a.window_graph(i)) == \
+                    graph_key(b.window_graph(i)), chunk_size
 
 
 class TestPop:

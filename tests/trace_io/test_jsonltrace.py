@@ -1,7 +1,10 @@
 """JSONL trace round-trip and error handling."""
 
+import gc
 import io
 import json
+import threading
+import time
 
 import pytest
 
@@ -71,3 +74,38 @@ class TestReading:
     def test_empty_rejected(self):
         with pytest.raises(TraceFormatError):
             read_jsonl_trace(io.StringIO(""))
+
+
+class TestConcurrency:
+    def test_reading_does_not_starve_other_threads(self, tmp_path):
+        """A thread ticking every 1 ms keeps running while a large trace
+        is read (a scrape must not queue behind the whole read)."""
+        path = tmp_path / "big.jsonl"
+        path.write_text("".join(
+            json.dumps({"pid": i % 4, "op": "read", "nbytes": 4096,
+                        "start": i * 1e-3, "end": i * 1e-3 + 5e-4}) + "\n"
+            for i in range(50_000)))
+        stop = threading.Event()
+        gaps = []
+
+        def tick():
+            last = time.perf_counter()
+            while not stop.is_set():
+                time.sleep(0.001)
+                now = time.perf_counter()
+                gaps.append(now - last)
+                last = now
+
+        # A full collection over the earlier tests' objects pauses every
+        # thread whoever holds the GIL; that is not what this measures.
+        gc.disable()
+        ticker = threading.Thread(target=tick)
+        ticker.start()
+        try:
+            assert len(read_jsonl_trace(path)) == 50_000
+        finally:
+            stop.set()
+            ticker.join(timeout=5.0)
+            gc.enable()
+        assert not ticker.is_alive()
+        assert max(gaps) < 0.15
