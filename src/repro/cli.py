@@ -5,8 +5,8 @@ Subcommands:
 - ``analyze`` — compute BPS/IOPS/BW/ARPT from a recorded trace file
   (CSV, JSONL, blkparse text, or fio JSON) — the paper's promised
   easy-to-use toolkit.
-- ``figures`` — regenerate a paper figure/table by id (fig4..fig12,
-  table1, table2, summary).
+- ``figures`` — regenerate a paper figure/table by its id in
+  :data:`repro.experiments.figures.FIGURES` (``bps figures --list``).
 - ``experiments`` — list the Table 2 experiment registry.
 - ``simulate`` — run one workload on one simulated platform and print
   its metric set.
@@ -42,7 +42,7 @@ from repro.core.correlation import METRIC_ORDER
 from repro.core.metrics import MetricSet, compute_metrics
 from repro.errors import ReproError, SalvageError
 from repro.experiments.figures import FIGURES, regenerate
-from repro.experiments.registry import EXPERIMENT_SETS
+from repro.experiments.registry import EXPERIMENT_SETS, SWEEPS
 from repro.experiments.runner import ExperimentScale
 from repro.system import SystemConfig
 from repro.trace_io import ErrorPolicy, TRACE_READERS, read_trace
@@ -200,27 +200,6 @@ def _cmd_experiments(_args: argparse.Namespace) -> int:
     return 0
 
 
-_SWEEPS = {
-    "set1": lambda scale, **kw: _sweep_module().run_set1(scale, **kw),
-    "set2-hdd": lambda scale, **kw:
-        _sweep_module().run_set2("hdd", scale, **kw),
-    "set2-ssd": lambda scale, **kw:
-        _sweep_module().run_set2("ssd", scale, **kw),
-    "set3-pure": lambda scale, **kw:
-        _sweep_module().run_set3_pure(scale, **kw),
-    "set3-ior": lambda scale, **kw:
-        _sweep_module().run_set3_ior(scale, **kw),
-    "set4": lambda scale, **kw: _sweep_module().run_set4(scale, **kw),
-    "set5": lambda scale, **kw: _sweep_module().run_set5(scale, **kw),
-    "set6": lambda scale, **kw: _sweep_module().run_set6(scale, **kw),
-}
-
-
-def _sweep_module():
-    import repro.experiments as experiments
-    return experiments
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.smoke:
         scale = ExperimentScale(factor=min(args.scale, 0.25),
@@ -248,7 +227,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         run_kwargs["grid_heartbeat"] = args.worker_heartbeat
     if args.worker_liveness is not None:
         run_kwargs["grid_liveness"] = args.worker_liveness
-    sweep = _SWEEPS[args.sweep](scale, **run_kwargs)
+    sweep = SWEEPS[args.sweep](scale, **run_kwargs)
     supervision = getattr(sweep, "supervision", None)
     if supervision is not None and (
             supervision.crashes or supervision.timeouts or
@@ -736,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures = sub.add_parser(
         "figures", help="regenerate a paper figure or table")
     figures.add_argument("figure_id", nargs="?", default="",
-                         help="fig4..fig12, table1, table2, summary")
+                         help=", ".join(FIGURES))
     figures.add_argument("--list", action="store_true",
                          help="list available artifacts")
     figures.add_argument("--scale", type=float, default=1.0,
@@ -772,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep", help="run one experiment sweep and print its CC table")
-    sweep.add_argument("sweep", choices=sorted(_SWEEPS))
+    sweep.add_argument("sweep", choices=sorted(SWEEPS))
     sweep.add_argument("--scale", type=float, default=1.0,
                        help="data-size scale factor (default 1.0)")
     sweep.add_argument("--reps", type=int, default=5,
@@ -885,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report", help="run every artifact and write a full "
-                       "reproduction report (minutes)")
+                       "reproduction report (each sweep runs once)")
     report.add_argument("--out", default="",
                         help="write Markdown here (default: stdout)")
     report.add_argument("--scale", type=float, default=1.0)

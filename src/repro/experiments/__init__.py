@@ -7,14 +7,14 @@ correlation table is the corresponding CC bar figure.
 
 :mod:`repro.experiments.figures` maps paper figure/table identifiers to
 the callables that regenerate them; :mod:`repro.experiments.registry`
-is the machine-readable Table 2.
+is the machine-readable Table 2 plus ``SWEEPS``, every sweep by name.
 """
 
 from repro.experiments.registry import EXPERIMENT_SETS, ExperimentSpec
 from repro.experiments.runner import SweepSpec, run_sweep, ExperimentScale
 from repro.experiments.set1 import run_set1
-from repro.experiments.set2 import run_set2, set2_detail
-from repro.experiments.set3 import run_set3_pure, run_set3_ior, set3_detail
+from repro.experiments.set2 import run_set2
+from repro.experiments.set3 import run_set3_pure, run_set3_ior
 from repro.experiments.set4 import run_set4
 from repro.experiments.set5 import run_set5
 from repro.experiments.set6 import run_set6, compare_policies
@@ -29,10 +29,8 @@ __all__ = [
     "ExperimentScale",
     "run_set1",
     "run_set2",
-    "set2_detail",
     "run_set3_pure",
     "run_set3_ior",
-    "set3_detail",
     "run_set4",
     "run_set5",
     "run_set6",

@@ -1,10 +1,12 @@
 """Figure/table registry: paper artifact id → regeneration code.
 
 ``FIGURES`` maps every evaluation figure and table of the paper to a
-:class:`FigureSpec` whose ``produce(scale)`` returns the artifact as
-text.  ``python -m repro figures fig5`` (see :mod:`repro.cli`) and the
-benchmark harness both go through this registry, so the per-experiment
-index in DESIGN.md stays honest.
+:class:`FigureSpec` whose ``produce(sweep)`` returns the artifact as
+text, reading each sweep it names through the getter ``sweep(name)``
+(:func:`~repro.experiments.registry.sweeps_at`); static artifacts
+accept ``None``.  ``python -m repro figures fig5`` (see
+:mod:`repro.cli`) and the benchmark harness both go through this
+registry, so the per-experiment index in DESIGN.md stays honest.
 """
 
 from __future__ import annotations
@@ -14,15 +16,9 @@ from typing import Callable
 
 from repro.core.correlation import EXPECTED_DIRECTIONS
 from repro.errors import ExperimentError
-from repro.experiments.registry import EXPERIMENT_SETS
+from repro.experiments.registry import EXPERIMENT_SETS, SweepGetter, sweeps_at
 from repro.experiments.runner import ExperimentScale
-from repro.experiments.set1 import run_set1
-from repro.experiments.set2 import run_set2, set2_detail
-from repro.experiments.set3 import run_set3_ior, run_set3_pure, set3_detail
-from repro.experiments.set4 import run_set4
-from repro.experiments.set5 import run_set5
-from repro.experiments.set6 import run_set6
-from repro.experiments.summary import run_summary
+from repro.experiments.summary import summarize
 from repro.util.tables import TextTable
 
 
@@ -33,10 +29,10 @@ class FigureSpec:
     figure_id: str
     title: str
     paper_expectation: str
-    produce: Callable[[ExperimentScale], str]
+    produce: Callable[[SweepGetter], str]
 
 
-def _fig1(_scale: ExperimentScale) -> str:
+def _fig1(_sweep: SweepGetter | None) -> str:
     """Fig. 1: six two-request cases, rendered from the definitions.
 
     Each sub-case compares two services of the same application demand;
@@ -95,7 +91,7 @@ def _fig1(_scale: ExperimentScale) -> str:
     return "\n\n".join(sections)
 
 
-def _fig2(_scale: ExperimentScale) -> str:
+def _fig2(_sweep: SweepGetter | None) -> str:
     """Fig. 2: the union-time worked example, recomputed."""
     from repro.core.intervals import (
         idle_time,
@@ -119,14 +115,14 @@ def _fig2(_scale: ExperimentScale) -> str:
     return table.render()
 
 
-def _table1(_scale: ExperimentScale) -> str:
+def _table1(_sweep: SweepGetter | None) -> str:
     table = TextTable(["I/O metric", "expected CC direction"])
     for metric, direction in EXPECTED_DIRECTIONS.items():
         table.add_row([metric, "negative" if direction < 0 else "positive"])
     return table.render()
 
 
-def _table2(_scale: ExperimentScale) -> str:
+def _table2(_sweep: SweepGetter | None) -> str:
     table = TextTable(["set", "description", "paper tool", "workload",
                        "figures", "expected misleading"])
     for spec in EXPERIMENT_SETS.values():
@@ -141,12 +137,16 @@ def _table2(_scale: ExperimentScale) -> str:
     return table.render()
 
 
-def _cc_figure(title: str, runner) -> Callable[[ExperimentScale], str]:
-    def produce(scale: ExperimentScale) -> str:
-        sweep = runner(scale)
-        return (sweep.render_cc_figure(title) + "\n\n"
-                + sweep.render_cc_table())
+def _cc_figure(title: str, name: str) -> Callable[[SweepGetter], str]:
+    def produce(sweep: SweepGetter) -> str:
+        analysis = sweep(name)
+        return (analysis.render_cc_figure(title) + "\n\n"
+                + analysis.render_cc_table())
     return produce
+
+
+def _detail(name: str, metric: str) -> Callable[[SweepGetter], str]:
+    return lambda sweep: sweep(name).render_detail([metric, "exec_time"])
 
 
 FIGURES: dict[str, FigureSpec] = {
@@ -174,78 +174,74 @@ FIGURES: dict[str, FigureSpec] = {
     "fig4": FigureSpec(
         "fig4", "Normalized CC values, various storage devices (Set 1)",
         "all four metrics correct, |CC| ~ 0.93",
-        _cc_figure("Fig.4 — CC by metric, storage-device sweep", run_set1),
+        _cc_figure("Fig.4 — CC by metric, storage-device sweep", "set1"),
     ),
     "fig5": FigureSpec(
         "fig5", "Normalized CC values, I/O sizes, HDD (Set 2)",
         "BW/BPS correct ~0.90; IOPS & ARPT flipped",
         _cc_figure("Fig.5 — CC by metric, record-size sweep (HDD)",
-                   lambda scale: run_set2("hdd", scale)),
+                   "set2-hdd"),
     ),
     "fig6": FigureSpec(
         "fig6", "Normalized CC values, I/O sizes, SSD (Set 2)",
         "BW/BPS correct ~0.90; IOPS & ARPT flipped",
         _cc_figure("Fig.6 — CC by metric, record-size sweep (SSD)",
-                   lambda scale: run_set2("ssd", scale)),
+                   "set2-ssd"),
     ),
     "fig7": FigureSpec(
         "fig7", "IOPS and execution time vs I/O size, HDD (Set 2 detail)",
         "both IOPS and execution time fall as records grow",
-        lambda scale: set2_detail("hdd", "IOPS", scale),
+        _detail("set2-hdd", "IOPS"),
     ),
     "fig8": FigureSpec(
         "fig8", "ARPT and execution time vs I/O size, SSD (Set 2 detail)",
         "ARPT rises while execution time falls",
-        lambda scale: set2_detail("ssd", "ARPT", scale),
+        _detail("set2-ssd", "ARPT"),
     ),
     "fig9": FigureSpec(
         "fig9", "Normalized CC values, pure concurrency (Set 3a)",
         "IOPS/BW/BPS correct ~0.96; ARPT flipped ~0.58",
         _cc_figure("Fig.9 — CC by metric, pure-concurrency sweep",
-                   run_set3_pure),
+                   "set3-pure"),
     ),
     "fig10": FigureSpec(
         "fig10", "ARPT and execution time vs concurrency (Set 3a detail)",
         "execution time collapses; ARPT barely moves (slight rise)",
-        lambda scale: set3_detail(scale),
+        _detail("set3-pure", "ARPT"),
     ),
     "fig11": FigureSpec(
         "fig11", "Normalized CC values, IOR shared file (Set 3b)",
         "IOPS/BW/BPS correct ~0.91; ARPT flipped ~0.39",
-        _cc_figure("Fig.11 — CC by metric, IOR concurrency sweep",
-                   run_set3_ior),
+        _cc_figure("Fig.11 — CC by metric, IOR concurrency sweep", "set3-ior"),
     ),
     "fig12": FigureSpec(
         "fig12", "Normalized CC values, data sieving (Set 4)",
         "IOPS/ARPT/BPS correct ~0.92; BW flipped",
-        _cc_figure("Fig.12 — CC by metric, region-spacing sweep",
-                   run_set4),
+        _cc_figure("Fig.12 — CC by metric, region-spacing sweep", "set4"),
     ),
     "summary": FigureSpec(
         "summary", "Section IV.C.5 — cross-set summary",
         "BPS is the only metric correct in every sweep; overall ~0.91",
-        lambda scale: run_summary(scale).render(),
+        lambda sweep: summarize(sweep).render(),
     ),
     "ext1": FigureSpec(
         "ext1", "Extension — async queue-depth sweep (Set 5, not in paper)",
         "IOPS/BW/BPS correct; ARPT flips again: queue wait raises "
         "response times while the run gets faster",
-        _cc_figure("Ext.1 — CC by metric, async queue-depth sweep",
-                   run_set5),
+        _cc_figure("Ext.1 — CC by metric, async queue-depth sweep", "set5"),
     ),
     "ext2": FigureSpec(
         "ext2", "Extension — fault-severity sweep (Set 6, not in paper)",
         "BPS stays strongly correct; IOPS inflated by retry attempts "
         "and BW by recovery traffic lose correlation; ARPT flips",
-        _cc_figure("Ext.2 — CC by metric, fault-severity sweep",
-                   run_set6),
+        _cc_figure("Ext.2 — CC by metric, fault-severity sweep", "set6"),
     ),
 }
 
 
 def regenerate(figure_id: str,
                scale: ExperimentScale | None = None) -> str:
-    """Produce one paper artifact as text."""
+    """Produce one paper artifact, running each sweep it needs once."""
     try:
         spec = FIGURES[figure_id]
     except KeyError:
@@ -253,4 +249,4 @@ def regenerate(figure_id: str,
         raise ExperimentError(
             f"unknown figure {figure_id!r}; known: {known}"
         ) from None
-    return spec.produce(scale or ExperimentScale())
+    return spec.produce(sweeps_at(scale or ExperimentScale()))

@@ -1,12 +1,23 @@
-"""Machine-readable Table 2: the four I/O access case sets.
+"""Machine-readable Table 2, and :data:`SWEEPS`: every sweep by name.
 
-Each entry names the knob the set varies, the benchmark tool the paper
-used, our workload class, and the paper figures the set produces.
+Each Table 2 entry names the knob the set varies, the benchmark tool the
+paper used, our workload class, and the paper figures the set produces.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable
+
+from repro.core.analysis import SweepAnalysis
+from repro.experiments.runner import ExperimentScale
+from repro.experiments.set1 import run_set1
+from repro.experiments.set2 import run_set2
+from repro.experiments.set3 import run_set3_ior, run_set3_pure
+from repro.experiments.set4 import run_set4
+from repro.experiments.set5 import run_set5
+from repro.experiments.set6 import run_set6
 
 
 @dataclass(frozen=True)
@@ -60,3 +71,31 @@ EXPERIMENT_SETS: dict[int, ExperimentSpec] = {
         expected_misleading=("BW",),
     ),
 }
+
+
+#: Every sweep by its ``bps sweep`` name.  Each runner is a ``run_setN``
+#: and so calls ``run_sweep`` through its own module's binding.
+SWEEPS: dict[str, Callable[..., SweepAnalysis]] = {
+    "set1": run_set1,
+    "set2-hdd": functools.partial(run_set2, "hdd"),
+    "set2-ssd": functools.partial(run_set2, "ssd"),
+    "set3-pure": run_set3_pure,
+    "set3-ior": run_set3_ior,
+    "set4": run_set4,
+    "set5": run_set5,
+    "set6": run_set6,
+}
+
+#: ``sweep(name)`` returns the analysis of the named :data:`SWEEPS` run.
+SweepGetter = Callable[[str], SweepAnalysis]
+
+
+def sweeps_at(scale: ExperimentScale) -> SweepGetter:
+    """A getter running each named sweep at ``scale`` at most once.
+
+    Its memo dies with it: build one per call, so no result outlives it.
+    """
+    @functools.cache
+    def sweep(name: str) -> SweepAnalysis:
+        return SWEEPS[name](scale)
+    return sweep

@@ -4,7 +4,8 @@
 details, the cross-set summary) at a chosen scale and assembles a
 single Markdown document with measured output next to the paper's
 expectation — the "rerun everything and show me" entry point
-(``bps report``).
+(``bps report``).  Each sweep runs once per report; the section that
+first needs it pays for it in its ``generated in`` line.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import time
 
 from repro.experiments.figures import FIGURES
+from repro.experiments.registry import sweeps_at
 from repro.experiments.runner import ExperimentScale
 
 #: Render order: definitions first, sweeps in paper order, then the
@@ -27,8 +29,9 @@ REPORT_ORDER: tuple[str, ...] = (
 
 def generate_report(scale: ExperimentScale | None = None, *,
                     title: str = "BPS reproduction report") -> str:
-    """Produce the full Markdown report (runs every sweep: minutes)."""
+    """Produce the full Markdown report, running each sweep once."""
     scale = scale or ExperimentScale()
+    sweep = sweeps_at(scale)
     sections: list[str] = [
         f"# {title}",
         "",
@@ -43,7 +46,7 @@ def generate_report(scale: ExperimentScale | None = None, *,
     for figure_id in REPORT_ORDER:
         spec = FIGURES[figure_id]
         started = time.perf_counter()
-        body = spec.produce(scale)
+        body = spec.produce(sweep)
         elapsed = time.perf_counter() - started
         sections.extend([
             f"## {figure_id}: {spec.title}",

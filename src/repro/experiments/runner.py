@@ -87,7 +87,7 @@ class ExperimentScale:
     base_seed: int = 20130520  # IPDPS'13 vintage
 
     def __post_init__(self) -> None:
-        if self.factor <= 0:
+        if not 0 < self.factor < float("inf"):  # NaN fails too
             raise ExperimentError(f"bad scale factor {self.factor}")
         if self.repetitions < 1:
             raise ExperimentError(f"bad repetitions {self.repetitions}")

@@ -25,7 +25,6 @@ from repro.workloads.iozone import IOzoneWorkload
 
 #: Paper-quoted result for EXPERIMENTS.md comparison.
 PAPER_AVG_ABS_CC = 0.93
-PAPER_MISLEADING: tuple[str, ...] = ()
 
 #: Base (unscaled) sizes.
 BASE_FILE_SIZE = 32 * MiB

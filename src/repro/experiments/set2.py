@@ -28,7 +28,6 @@ from repro.workloads.iozone import IOzoneWorkload
 
 #: Paper-quoted results for EXPERIMENTS.md comparison.
 PAPER_AVG_ABS_CC_BW_BPS = 0.90
-PAPER_MISLEADING = ("IOPS", "ARPT")
 
 #: The paper's record-size ladder, 4 KB → 8 MB.
 RECORD_SIZES: tuple[int, ...] = (
@@ -73,14 +72,3 @@ def run_set2(device: str = "hdd",
     run_kwargs.setdefault("grid_task", spec_cell_task(
         f"{__name__}:build_sweep", device, scale))
     return run_sweep(build_sweep(device, scale), scale, **run_kwargs)
-
-
-def set2_detail(device: str, metric: str,
-                scale: ExperimentScale | None = None) -> str:
-    """The per-point detail views of Figs. 7 and 8.
-
-    Fig. 7 = ``('hdd', 'IOPS')``: IOPS and execution time both falling.
-    Fig. 8 = ``('ssd', 'ARPT')``: ARPT rising while execution time falls.
-    """
-    sweep = run_set2(device, scale)
-    return sweep.render_detail([metric, "exec_time"])

@@ -45,7 +45,6 @@ PAPER_PURE_AVG_ABS_CC = 0.96
 PAPER_PURE_ARPT_CC = 0.58    # wrong direction
 PAPER_IOR_AVG_ABS_CC = 0.91
 PAPER_IOR_ARPT_CC = 0.39     # wrong direction
-PAPER_MISLEADING = ("ARPT",)
 
 PURE_PROCESS_COUNTS: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
 IOR_PROCESS_COUNTS: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
@@ -115,9 +114,3 @@ def run_set3_ior(scale: ExperimentScale | None = None,
     run_kwargs.setdefault("grid_task", spec_cell_task(
         f"{__name__}:build_ior_sweep", scale))
     return run_sweep(build_ior_sweep(scale), scale, **run_kwargs)
-
-
-def set3_detail(scale: ExperimentScale | None = None) -> str:
-    """Fig. 10: ARPT vs execution time across the pure sweep."""
-    sweep = run_set3_pure(scale)
-    return sweep.render_detail(["ARPT", "exec_time"])

@@ -35,7 +35,6 @@ from repro.workloads.hpio import HpioWorkload
 
 #: Paper-quoted results for EXPERIMENTS.md comparison.
 PAPER_AVG_ABS_CC = 0.92
-PAPER_MISLEADING = ("BW",)
 
 #: The paper's spacing ladder, 8 B → 4096 B.
 REGION_SPACINGS: tuple[int, ...] = (8, 32, 128, 512, 1024, 2048, 4096)

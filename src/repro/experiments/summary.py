@@ -5,8 +5,8 @@ correctly correlates with the overall computer performance in all the
 tests, and achieves high CC values" — with an overall BPS |CC| of 0.91
 quoted in the introduction.
 
-:func:`run_summary` runs every sweep (Figs. 4-6, 9, 11, 12), collects
-the normalised CC tables, and reports per-metric: in how many sweeps the
+:func:`summarize` collects the normalised CC tables of the six CC sweeps
+(Figs. 4-6, 9, 11, 12) and reports per-metric: in how many sweeps the
 direction was correct, and the average correlation strength.
 """
 
@@ -15,24 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.correlation import METRIC_ORDER, CorrelationResult
+from repro.experiments.registry import SweepGetter, sweeps_at
 from repro.experiments.runner import ExperimentScale
-from repro.experiments.set1 import run_set1
-from repro.experiments.set2 import run_set2
-from repro.experiments.set3 import run_set3_ior, run_set3_pure
-from repro.experiments.set4 import run_set4
 from repro.util.tables import TextTable
 
 #: Paper-quoted overall BPS correlation for EXPERIMENTS.md.
 PAPER_BPS_OVERALL_CC = 0.91
 
-#: The six CC-figure sweeps, in paper order.
-SWEEP_RUNNERS = (
-    ("fig4: devices", lambda scale: run_set1(scale)),
-    ("fig5: I/O size (HDD)", lambda scale: run_set2("hdd", scale)),
-    ("fig6: I/O size (SSD)", lambda scale: run_set2("ssd", scale)),
-    ("fig9: concurrency (pure)", lambda scale: run_set3_pure(scale)),
-    ("fig11: concurrency (IOR)", lambda scale: run_set3_ior(scale)),
-    ("fig12: data sieving", lambda scale: run_set4(scale)),
+#: The six CC-figure sweeps, in paper order: (row label, sweep name).
+SUMMARY_SWEEPS = (
+    ("fig4: devices", "set1"),
+    ("fig5: I/O size (HDD)", "set2-hdd"),
+    ("fig6: I/O size (SSD)", "set2-ssd"),
+    ("fig9: concurrency (pure)", "set3-pure"),
+    ("fig11: concurrency (IOR)", "set3-ior"),
+    ("fig12: data sieving", "set4"),
 )
 
 
@@ -94,11 +91,12 @@ class SummaryResult:
         return table.render()
 
 
+def summarize(sweep: SweepGetter) -> SummaryResult:
+    """Aggregate the six CC sweeps, each read once through ``sweep``."""
+    return SummaryResult({label: sweep(name).correlations()
+                          for label, name in SUMMARY_SWEEPS})
+
+
 def run_summary(scale: ExperimentScale | None = None) -> SummaryResult:
-    """Run all six CC sweeps and aggregate (expensive: ~6 full sweeps)."""
-    scale = scale or ExperimentScale()
-    tables = {
-        name: runner(scale).correlations()
-        for name, runner in SWEEP_RUNNERS
-    }
-    return SummaryResult(tables)
+    """Run all six CC sweeps once each and aggregate."""
+    return summarize(sweeps_at(scale or ExperimentScale()))

@@ -1,10 +1,20 @@
 """One-command report generation."""
 
+from collections import Counter
+
 import pytest
 
+from repro.experiments import set1, set2, set3, set4, set5, set6
 from repro.experiments.report import REPORT_ORDER, generate_report
 from repro.experiments.figures import FIGURES
 from repro.experiments.runner import ExperimentScale
+
+
+def _counting(run_sweep, calls: Counter):
+    def counted(spec, scale, **kwargs):
+        calls[spec.knob] += 1
+        return run_sweep(spec, scale, **kwargs)
+    return counted
 
 
 class TestReportStructure:
@@ -12,9 +22,27 @@ class TestReportStructure:
         assert set(REPORT_ORDER) == set(FIGURES)
 
     @pytest.fixture(scope="class")
-    def report(self):
-        return generate_report(
-            ExperimentScale(factor=0.25, repetitions=2))
+    def sweep_calls(self):
+        return Counter()
+
+    @pytest.fixture(scope="class")
+    def report(self, sweep_calls):
+        # Count through each module's own run_sweep binding, the one
+        # every run_setN calls (and the one perfbench wraps).
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (set1, set2, set3, set4, set5, set6):
+                patch.setattr(module, "run_sweep",
+                              _counting(module.run_sweep, sweep_calls))
+            return generate_report(
+                ExperimentScale(factor=0.25, repetitions=2))
+
+    def test_each_sweep_runs_once(self, report, sweep_calls):
+        assert dict(sweep_calls) == dict.fromkeys([
+            "storage configuration",
+            "record size (hdd)", "record size (ssd)",
+            "I/O concurrency (pure)", "I/O concurrency (IOR)",
+            "region spacing", "async queue depth", "fault severity",
+        ], 1)
 
     def test_every_section_present(self, report):
         for figure_id in REPORT_ORDER:

@@ -23,6 +23,9 @@ class TestScale:
     def test_validation(self):
         with pytest.raises(ExperimentError):
             ExperimentScale(factor=0)
+        for factor in (float("nan"), float("inf")):
+            with pytest.raises(ExperimentError):
+                ExperimentScale(factor=factor)
         with pytest.raises(ExperimentError):
             ExperimentScale(repetitions=0)
 

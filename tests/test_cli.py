@@ -83,6 +83,10 @@ class TestFigures:
         assert main(["figures", "fig99"]) == 1
         assert "unknown figure" in capsys.readouterr().err
 
+    def test_nan_scale_is_error(self, capsys):
+        assert main(["figures", "fig4", "--scale", "nan"]) == 1
+        assert "bad scale factor" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_compare_two_traces(self, csv_trace, tmp_path, capsys):
