@@ -149,17 +149,15 @@ def time_sweeps() -> tuple[dict[str, float], int]:
     try:
         # Warm-up sessions: child imports, worker-side spec rebuild.
         warm = ExperimentScale(factor=0.25, repetitions=1)
-        run_set1(warm, backend="fork", parallel=True,
-                 workers=SWEEP_WORKERS)
-        run_set1(warm, backend="socket", grid_workers=addrs)
+        run_set1(warm, workers=SWEEP_WORKERS)
+        run_set1(warm, grid_workers=addrs)
         for _ in range(SWEEP_ROUNDS):
             t0 = time.perf_counter()
-            run_set1(SWEEP_SCALE, backend="fork", parallel=True,
-                     workers=SWEEP_WORKERS)
+            run_set1(SWEEP_SCALE, workers=SWEEP_WORKERS)
             seconds["fork"] = min(seconds["fork"],
                                   time.perf_counter() - t0)
             t0 = time.perf_counter()
-            run_set1(SWEEP_SCALE, backend="socket", grid_workers=addrs)
+            run_set1(SWEEP_SCALE, grid_workers=addrs)
             seconds["socket"] = min(seconds["socket"],
                                     time.perf_counter() - t0)
     finally:

@@ -10,7 +10,7 @@ Two claims are measured and asserted:
    same trace are requested (``bps``/``iops``/``bandwidth`` +
    ``compute_metrics`` share one union sweep).
 
-2. **Parallel sweep equivalence** — ``run_sweep(parallel=True)`` returns
+2. **Parallel sweep equivalence** — ``run_sweep(workers=2)`` returns
    metric sets bit-identical to the serial path for the same seeds.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run at reduced scale (CI smoke: the
@@ -251,11 +251,11 @@ def test_parallel_sweep_equivalence(artifact):
     scale = ExperimentScale(repetitions=2 if SMOKE else 3)
 
     t0 = time.perf_counter()
-    serial = run_sweep(_sweep_spec(), scale, parallel=False)
+    serial = run_sweep(_sweep_spec(), scale, workers=1)
     serial_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    parallel = run_sweep(_sweep_spec(), scale, parallel=True, workers=2)
+    parallel = run_sweep(_sweep_spec(), scale, workers=2)
     parallel_time = time.perf_counter() - t0
 
     serial_rows = _metric_rows(serial)

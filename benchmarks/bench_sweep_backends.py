@@ -1,13 +1,12 @@
 """Perf bench: what each sweep backend costs on the same grid.
 
 The backend abstraction (:mod:`repro.exec.backends`) must not tax the
-sweep: the fork pool is the baseline, the in-process async backend
-should track the serial path, and the socket dispatcher — TCP framing,
-handshake, pickled results, liveness traffic — must stay within a
-bounded dispatch overhead of the fork pool on the same host, or there
-is no point dispatching locally at all.
+sweep: the fork pool is the baseline, and the socket dispatcher — TCP
+framing, handshake, pickled results, liveness traffic — must stay
+within a bounded dispatch overhead of the fork pool on the same host,
+or there is no point dispatching locally at all.
 
-This bench times the identical Set 1 grid four ways (serial, async,
+This bench times the identical Set 1 grid three ways (the serial loop,
 fork pool, socket dispatch to two local ``bps grid-worker`` daemons),
 asserts every flavour produces bit-identical measurements, prints the
 cells/s table, and publishes the numbers plus the asserted floor as
@@ -88,22 +87,15 @@ def test_backend_dispatch_overhead(artifact, artifact_json):
     procs, addrs = spawn_workers(WORKERS)
     try:
         flavours = {
-            "serial": lambda: run_set1(SCALE, parallel=False),
-            "async": lambda: run_set1(SCALE, backend="async"),
-            "fork": lambda: run_set1(SCALE, backend="fork",
-                                     parallel=True, workers=WORKERS),
-            "socket": lambda: run_set1(SCALE, backend="socket",
-                                       grid_workers=addrs),
+            "serial": lambda: run_set1(SCALE, workers=1),
+            "fork": lambda: run_set1(SCALE, workers=WORKERS),
+            "socket": lambda: run_set1(SCALE, grid_workers=addrs),
         }
         # Warm-up (imports in children, page cache, a first TCP
         # session so the workers' spec rebuild doesn't bias round 1).
         warm = ExperimentScale(factor=0.25, repetitions=1)
-        for name in ("fork", "socket"):
-            if name == "fork":
-                run_set1(warm, backend="fork", parallel=True,
-                         workers=WORKERS)
-            else:
-                run_set1(warm, backend="socket", grid_workers=addrs)
+        run_set1(warm, workers=WORKERS)
+        run_set1(warm, grid_workers=addrs)
 
         seconds, sweeps = {}, {}
         for name, fn in flavours.items():
@@ -116,7 +108,7 @@ def test_backend_dispatch_overhead(artifact, artifact_json):
 
     # The transport must not change the answer.
     baseline = metric_tuples(sweeps["serial"])
-    for name in ("async", "fork", "socket"):
+    for name in ("fork", "socket"):
         assert metric_tuples(sweeps[name]) == baseline, (
             f"{name} backend is not bit-identical to serial")
 
@@ -124,7 +116,7 @@ def test_backend_dispatch_overhead(artifact, artifact_json):
     socket_overhead = seconds["socket"] / seconds["fork"] - 1.0
     table = TextTable(["backend", "wall time", "cells/s",
                        "vs fork"])
-    for name in ("serial", "async", "fork", "socket"):
+    for name in ("serial", "fork", "socket"):
         rel = seconds[name] / seconds["fork"] - 1.0
         table.add_row([name, f"{seconds[name]:.3f}s",
                        f"{cells / seconds[name]:.1f}",

@@ -197,7 +197,7 @@ def run_grid_check(schedule: ChaosSchedule | None = None, *,
         policy = SupervisorPolicy(job_timeout=60.0, max_retries=4,
                                   max_worker_respawns=32,
                                   poll_interval=0.05)
-    serial = run_set1(scale, parallel=False)
+    serial = run_set1(scale, workers=1)
     expected = _metric_tuples(serial)
 
     procs, upstreams = _spawn_grid_workers(
@@ -209,7 +209,7 @@ def run_grid_check(schedule: ChaosSchedule | None = None, *,
             host, port = proxy.start()
             grid_addrs.append(f"{host}:{port}")
         chaotic = run_set1(
-            scale, backend="socket", grid_workers=grid_addrs,
+            scale, grid_workers=grid_addrs,
             grid_heartbeat=heartbeat, grid_liveness=liveness,
             policy=policy)
     finally:

@@ -22,7 +22,7 @@ Subcommands:
   isolated metric stream per tenant, budgets with load shedding, one
   aggregated Prometheus scrape plus a JSON query API.
 - ``grid-worker`` — one host's sweep worker daemon for distributed
-  sweeps (``bps sweep --backend socket``; :mod:`repro.exec.gridworker`).
+  sweeps (``bps sweep --grid-workers``; :mod:`repro.exec.gridworker`).
 - ``chaos`` — the network-chaos invariant runner (:mod:`repro.chaos`):
   real daemons behind a seeded fault-injecting proxy, results required
   bit-identical to the undisturbed paths.
@@ -219,8 +219,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         from repro.exec import SupervisorPolicy
         run_kwargs["policy"] = SupervisorPolicy(
             job_timeout=args.job_timeout)
-    if args.backend:
-        run_kwargs["backend"] = args.backend
     if args.grid_workers:
         run_kwargs["grid_workers"] = args.grid_workers
     if args.worker_heartbeat is not None:
@@ -265,8 +263,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_grid_worker(args: argparse.Namespace) -> int:
     import os
+    import signal
 
     from repro.exec import serve_grid_worker
+    # SIGTERM unwinds like Ctrl-C, so a running cell's job child is
+    # killed on the way out instead of orphaned.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     token = args.token or os.environ.get("REPRO_GRID_TOKEN") or None
     return serve_grid_worker(
         args.listen,
@@ -778,16 +780,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--job-timeout", type=float, default=None,
                        help="kill and retry any sweep job running "
                             "longer than this many seconds")
-    sweep.add_argument("--backend", choices=("fork", "async", "socket"),
-                       default="",
-                       help="executor backend: 'fork' supervised local "
-                            "pool (default), 'async' in-process serial, "
-                            "'socket' multi-host dispatch to bps "
-                            "grid-worker daemons (env "
-                            "REPRO_SWEEP_BACKEND)")
     sweep.add_argument("--grid-workers", default="", metavar="ADDRS",
-                       help="socket backend: comma-separated "
-                            "host:port list of bps grid-worker daemons")
+                       help="dispatch the sweep's cells to these bps "
+                            "grid-worker daemons (comma-separated "
+                            "host:port list) instead of the local "
+                            "fork pool")
     sweep.add_argument("--worker-heartbeat", type=float, default=None,
                        metavar="SECONDS",
                        help="socket backend: ping a silent worker "
@@ -806,8 +803,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     grid_worker = sub.add_parser(
         "grid-worker", help="run one host's sweep worker daemon for "
-                            "the socket backend (bps sweep "
-                            "--backend socket)")
+                            "distributed sweeps (bps sweep "
+                            "--grid-workers)")
     grid_worker.add_argument("--listen", default="127.0.0.1:0",
                              metavar="HOST:PORT",
                              help="TCP listen address; port 0 binds an "

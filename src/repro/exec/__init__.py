@@ -4,10 +4,9 @@ The measurement pipeline has to survive its own failures, not just the
 simulated ones (DESIGN.md §10, §14).  This package provides the
 pieces:
 
-- :mod:`repro.exec.backends` — pluggable executor backends behind one
-  submit/collect/cancel interface: the supervised fork pool, an
-  in-process serial backend for smoke grids, and a multi-host socket
-  dispatcher feeding ``bps grid-worker`` daemons;
+- :mod:`repro.exec.backends` — executor backends behind one
+  submit/collect/cancel interface: the supervised fork pool and a
+  multi-host socket dispatcher feeding ``bps grid-worker`` daemons;
 - :mod:`repro.exec.supervisor` — the supervision policy/report types
   (per-job timeouts, bounded retry, automatic serial fallback) and the
   chaos hook every backend honours;
@@ -25,13 +24,11 @@ own.
 from __future__ import annotations
 
 from repro.exec.backends import (
-    AsyncBackend,
     ExecBackend,
     ForkBackend,
     GridTask,
     JobOutcome,
     SocketBackend,
-    resolve_backend,
     run_jobs,
 )
 from repro.exec.checkpoint import CheckpointJournal
@@ -42,7 +39,6 @@ from repro.exec.supervisor import (
 )
 
 __all__ = [
-    "AsyncBackend",
     "CheckpointJournal",
     "ExecBackend",
     "ForkBackend",
@@ -51,7 +47,6 @@ __all__ = [
     "SocketBackend",
     "SupervisionReport",
     "SupervisorPolicy",
-    "resolve_backend",
     "run_jobs",
     "serve_grid_worker",
 ]

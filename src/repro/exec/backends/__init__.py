@@ -1,45 +1,34 @@
 """Pluggable sweep backends: where a job grid actually executes.
 
-Three implementations of one interface
+Two implementations of one interface
 (:class:`~repro.exec.backends.base.ExecBackend`):
 
 - ``"fork"`` — the supervised fork pool (crash isolation, per-job
   timeouts, respawn budget) for multi-core single-host sweeps;
-- ``"async"`` — in-process serial execution for smoke grids and
-  single-core CI (no forks, still honors retry and timeout);
 - ``"socket"`` — the multi-host dispatcher shipping grid cells to
   ``bps grid-worker`` daemons over TCP (liveness heartbeats, re-queue
   on worker death, straggler re-dispatch).
 
-All three run under the shared driver
+Both run under the shared driver
 (:func:`~repro.exec.backends.base.run_jobs`), so retry budgets,
 checkpoint journaling, and deterministic grid-cell seeds behave
 identically — a sweep's results are bit-identical on every backend,
 for any worker count, across kill/resume chaos.
 
-:func:`resolve_backend` is the policy knob: explicit argument >
-``REPRO_SWEEP_BACKEND`` env var > ``"fork"``.  A bad explicit argument
-is a caller bug and raises; a bad env var is clamped to the default
-with a warning, mirroring ``resolve_workers`` (a site-wide env var
-should degrade, not abort every sweep).
+No name selects a backend: :func:`repro.experiments.runner.run_sweep`
+dispatches to ``socket`` when given grid worker addresses, to ``fork``
+when more than one local worker is available, and otherwise runs its
+own serial loop.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
-from repro.errors import ExperimentError
 from repro.exec.backends.base import ExecBackend, JobOutcome, run_jobs
 from repro.exec.backends.fork import ForkBackend
-from repro.exec.backends.inproc import AsyncBackend
 from repro.exec.backends.sockets import SocketBackend, parse_worker_addrs
 from repro.exec.backends.task import GridTask, import_ref
 
 __all__ = [
-    "AsyncBackend",
-    "BACKEND_NAMES",
-    "DEFAULT_BACKEND",
     "ExecBackend",
     "ForkBackend",
     "GridTask",
@@ -47,32 +36,5 @@ __all__ = [
     "SocketBackend",
     "import_ref",
     "parse_worker_addrs",
-    "resolve_backend",
     "run_jobs",
 ]
-
-#: Registry of selectable backends.
-BACKEND_NAMES = ("fork", "async", "socket")
-DEFAULT_BACKEND = "fork"
-
-_BACKEND_ENV = "REPRO_SWEEP_BACKEND"
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Backend name: explicit argument > REPRO_SWEEP_BACKEND > fork."""
-    if backend is not None:
-        if backend not in BACKEND_NAMES:
-            raise ExperimentError(
-                f"unknown sweep backend {backend!r} "
-                f"(choose from {', '.join(BACKEND_NAMES)})")
-        return backend
-    env = os.environ.get(_BACKEND_ENV, "").strip()
-    if env:
-        if env not in BACKEND_NAMES:
-            warnings.warn(
-                f"{_BACKEND_ENV}={env!r} is not a valid sweep backend "
-                f"(choose from {', '.join(BACKEND_NAMES)}); using "
-                f"{DEFAULT_BACKEND!r}", RuntimeWarning, stacklevel=2)
-            return DEFAULT_BACKEND
-        return env
-    return DEFAULT_BACKEND

@@ -1,14 +1,14 @@
 """Executor-backend interface and the shared supervision driver.
 
-Every sweep backend — the forked pool, the in-process serial/async
-runner, the multi-host socket dispatcher — answers the same three
-questions: *where can I put a job right now* (:meth:`ExecBackend.slots`
-/ :meth:`ExecBackend.submit`), *what finished or failed*
-(:meth:`ExecBackend.collect`), and *can you still take work at all*
-(:meth:`ExecBackend.healthy`).  Everything above that line — retry
-budgets, submission-order result assembly, checkpoint hooks, the
-serial fallback when a backend dies under us — lives **once**, in
-:func:`run_jobs`, so the guarantees cannot drift between backends:
+Every sweep backend — the forked pool and the multi-host socket
+dispatcher — answers the same three questions: *where can I put a job
+right now* (:meth:`ExecBackend.slots` / :meth:`ExecBackend.submit`),
+*what finished or failed* (:meth:`ExecBackend.collect`), and *can you
+still take work at all* (:meth:`ExecBackend.healthy`).  Everything
+above that line — retry budgets, submission-order result assembly,
+checkpoint hooks, the serial fallback when a backend dies under us —
+lives **once**, in :func:`run_jobs`, so the guarantees cannot drift
+between backends:
 
 - results are returned in submission order, with the caller's own
   per-job seeds untouched, so any backend (any worker count, any crash
@@ -85,7 +85,7 @@ class ExecBackend(ABC):
     driver keeps the first completion and ignores the rest.
     """
 
-    #: Registry name ("fork", "async", "socket").
+    #: Name reported as ``SupervisionReport.backend`` ("fork", "socket").
     name = "?"
 
     @abstractmethod

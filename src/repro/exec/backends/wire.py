@@ -8,7 +8,7 @@ the executor is gone) works across hosts:
 
 - every frame is an 8-byte header — a 4-byte big-endian payload length
   followed by the payload's CRC32 — and then the pickled payload.  The
-  length is validated against a configurable bound **before** any
+  length is validated against :data:`MAX_FRAME_BYTES` **before** any
   payload byte is read, so a corrupt or hostile length prefix cannot
   balloon the reader; the checksum is validated before the payload is
   unpickled, so a flaky link that flips bits mid-frame produces a
@@ -56,7 +56,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "connect",
-    "max_frame_bytes",
     "parse_hostport",
     "recv_frame",
     "resolve_liveness",
@@ -67,12 +66,9 @@ __all__ = [
 #: v2 added the per-frame CRC32; v1 peers are rejected at handshake.
 PROTOCOL_VERSION = 2
 
-#: Default hard per-frame bound.  Sweep results carry columnar traces —
-#: MBs at corpus scale — but a GB-sized frame means a corrupt length
-#: prefix.  Override per call or with ``REPRO_GRID_MAX_FRAME`` (bytes).
+#: Hard per-frame bound.  Sweep results carry columnar traces — MBs at
+#: corpus scale — but a GB-sized frame means a corrupt length prefix.
 MAX_FRAME_BYTES = 1 << 30
-
-_MAX_FRAME_ENV = "REPRO_GRID_MAX_FRAME"
 
 #: Default liveness clocks (seconds), shared by the dispatcher and the
 #: worker daemon so both ends of a half-open socket give up on it.
@@ -82,58 +78,12 @@ DEFAULT_LIVENESS_TIMEOUT = 10.0
 _HEADER = struct.Struct(">II")  # payload length, payload CRC32
 
 
-def max_frame_bytes(limit: int | None = None) -> int:
-    """The effective frame bound: argument > env var > default.
-
-    A non-positive explicit limit is a caller bug and raises; a
-    malformed or non-positive ``REPRO_GRID_MAX_FRAME`` is clamped to
-    the default with a warning (a site-wide env var should degrade,
-    not abort every sweep).
-    """
-    if limit is not None:
-        if limit <= 0:
-            raise GridError(f"frame bound must be > 0, got {limit}")
-        return limit
-    env = os.environ.get(_MAX_FRAME_ENV, "").strip()
-    if env:
-        try:
-            parsed = int(env)
-        except ValueError:
-            parsed = -1
-        if parsed <= 0:
-            warnings.warn(
-                f"{_MAX_FRAME_ENV}={env!r} is not a positive byte "
-                f"count; using {MAX_FRAME_BYTES}", RuntimeWarning,
-                stacklevel=2)
-            return MAX_FRAME_BYTES
-        return parsed
-    return MAX_FRAME_BYTES
-
-
-#: Lazily cached env/default bound.  ``max_frame_bytes()`` costs an
-#: ``os.environ`` lookup (~1µs) — per-frame that would dwarf the CRC
-#: itself, so the hot paths resolve it once per process.  Env vars are
-#: fixed at launch; tests that need a fresh read reset this to None.
-_cached_bound: int | None = None
-
-
-def _effective_bound(limit: int | None) -> int:
-    if limit is not None:
-        return max_frame_bytes(limit)
-    global _cached_bound
-    if _cached_bound is None:
-        _cached_bound = max_frame_bytes()
-    return _cached_bound
-
-
-def send_frame(sock: socket.socket, obj, *,
-               limit: int | None = None) -> None:
+def send_frame(sock: socket.socket, obj) -> None:
     """Pickle ``obj`` and send it length-prefixed and checksummed."""
     data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    bound = _effective_bound(limit)
-    if len(data) > bound:
+    if len(data) > MAX_FRAME_BYTES:
         raise GridError(
-            f"frame of {len(data)} bytes exceeds {bound}")
+            f"frame of {len(data)} bytes exceeds {MAX_FRAME_BYTES}")
     sock.sendall(_HEADER.pack(len(data), zlib.crc32(data)) + data)
 
 
@@ -148,7 +98,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket, *, limit: int | None = None):
+def recv_frame(sock: socket.socket):
     """Receive one frame; raises EOFError on a clean peer close.
 
     The length prefix is checked against the frame bound before the
@@ -164,11 +114,10 @@ def recv_frame(sock: socket.socket, *, limit: int | None = None):
     liveness machinery owns that clock.
     """
     length, checksum = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
-    bound = _effective_bound(limit)
-    if length > bound:
+    if length > MAX_FRAME_BYTES:
         raise FrameCorruptionError(
             f"incoming frame of {length} bytes exceeds "
-            f"{bound} (corrupt length prefix?)")
+            f"{MAX_FRAME_BYTES} (corrupt length prefix?)")
     data = _recv_exact(sock, length)
     if zlib.crc32(data) != checksum:
         raise FrameCorruptionError(
@@ -199,11 +148,11 @@ def resolve_liveness(heartbeat: float | None = None,
     Returns ``(heartbeat_interval, liveness_timeout)``.  ``None``
     falls back to the env vars ``REPRO_GRID_HEARTBEAT`` /
     ``REPRO_GRID_LIVENESS`` and then the defaults.  Out-of-range
-    values degrade instead of aborting: a non-positive clock is
-    clamped to its default with a warning, and a liveness timeout not
-    strictly greater than the heartbeat interval is clamped to twice
-    the heartbeat (one ping must have a full interval to come back
-    before the silence verdict lands).
+    values degrade instead of aborting: a non-positive or non-finite
+    clock is clamped to its default with a warning, and a liveness
+    timeout not strictly greater than the heartbeat interval is
+    clamped to twice the heartbeat (one ping must have a full interval
+    to come back before the silence verdict lands).
     """
 
     def from_env(name: str) -> float | None:
@@ -224,18 +173,18 @@ def resolve_liveness(heartbeat: float | None = None,
         liveness = from_env("REPRO_GRID_LIVENESS")
     if heartbeat is None:
         heartbeat = DEFAULT_HEARTBEAT_INTERVAL
-    elif heartbeat <= 0:
+    elif not 0 < heartbeat < float("inf"):  # NaN fails too
         warnings.warn(
-            f"heartbeat interval {heartbeat:g}s is not positive; "
-            f"clamping to {DEFAULT_HEARTBEAT_INTERVAL:g}s",
+            f"heartbeat interval {heartbeat:g}s is not positive and "
+            f"finite; clamping to {DEFAULT_HEARTBEAT_INTERVAL:g}s",
             RuntimeWarning, stacklevel=2)
         heartbeat = DEFAULT_HEARTBEAT_INTERVAL
     if liveness is None:
         liveness = max(DEFAULT_LIVENESS_TIMEOUT, 2.0 * heartbeat)
-    elif liveness <= 0:
+    elif not 0 < liveness < float("inf"):
         warnings.warn(
-            f"liveness timeout {liveness:g}s is not positive; "
-            f"clamping to {DEFAULT_LIVENESS_TIMEOUT:g}s",
+            f"liveness timeout {liveness:g}s is not positive and "
+            f"finite; clamping to {DEFAULT_LIVENESS_TIMEOUT:g}s",
             RuntimeWarning, stacklevel=2)
         liveness = max(DEFAULT_LIVENESS_TIMEOUT, 2.0 * heartbeat)
     if liveness <= heartbeat:

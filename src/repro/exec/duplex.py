@@ -21,6 +21,7 @@ as an orphan.
 from __future__ import annotations
 
 import multiprocessing
+import signal
 from multiprocessing import get_context
 from typing import Callable
 
@@ -32,6 +33,9 @@ def fork_available() -> bool:
 
 def _child_entry(parent_conn, target: Callable, child_conn, *args) -> None:
     """Drop the inherited parent end, then run ``target`` in the child."""
+    # A parent that turns SIGTERM into KeyboardInterrupt (the grid
+    # worker daemon) must still be able to terminate() its children.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     parent_conn.close()
     target(child_conn, *args)
 

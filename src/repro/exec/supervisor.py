@@ -69,9 +69,12 @@ class SupervisorPolicy:
     poll_interval: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.job_timeout is not None and self.job_timeout <= 0:
+        # Written so NaN fails too: a NaN deadline reaps every cell.
+        if self.job_timeout is not None and \
+                not 0 < self.job_timeout < float("inf"):
             raise SupervisionError(
-                f"job_timeout must be > 0 or None, got {self.job_timeout}")
+                f"job_timeout must be finite and > 0, or None, "
+                f"got {self.job_timeout}")
         if self.max_retries < 0:
             raise SupervisionError(
                 f"max_retries must be >= 0, got {self.max_retries}")
@@ -79,9 +82,10 @@ class SupervisorPolicy:
             raise SupervisionError(
                 f"max_worker_respawns must be >= 0, "
                 f"got {self.max_worker_respawns}")
-        if self.poll_interval <= 0:
+        if not 0 < self.poll_interval < float("inf"):
             raise SupervisionError(
-                f"poll_interval must be > 0, got {self.poll_interval}")
+                f"poll_interval must be finite and > 0, "
+                f"got {self.poll_interval}")
 
 
 @dataclass
@@ -108,8 +112,8 @@ class SupervisionReport:
     #: failures (circuit broken for the rest of the run).
     broken_circuits: int = 0
     serial_fallback: bool = False
-    #: Which backend executed the run ("fork", "async", "socket", or
-    #: "serial" when no backend was engaged at all).
+    #: Which backend executed the run ("fork", "socket", or "serial"
+    #: when no backend was engaged at all).
     backend: str = "serial"
     #: job index -> number of extra attempts it needed.
     retried_jobs: dict[int, int] = field(default_factory=dict)

@@ -11,18 +11,15 @@ determines the simulation), so the points × repetitions grid is
 embarrassingly parallel.  :func:`run_sweep` fans the grid out over the
 **supervised** fork pool (:class:`~repro.exec.backends.fork.ForkBackend`
 under :func:`~repro.exec.backends.base.run_jobs`) when more than one
-worker is available: a crashed worker re-queues its job instead of
+worker is available, or over ``bps grid-worker`` daemons when it is
+given their addresses: a crashed worker re-queues its job instead of
 aborting the sweep, hung jobs can be reaped by a per-job timeout, and a
 pool that keeps breaking degrades to serial execution.  Results are
 reassembled in (point, repetition) order with the exact per-rep seeds
 of the serial path, so the analysis is bit-identical either way — with
 or without failures along the way.  Control knobs:
 
-- ``backend=`` / ``REPRO_SWEEP_BACKEND`` env var — which executor
-  backend runs the grid (``fork`` pool, in-process ``async``, or the
-  multi-host ``socket`` dispatcher; see :mod:`repro.exec.backends`);
-- ``parallel=False`` — force the serial path (the escape hatch);
-- ``workers=N`` — explicit pool size;
+- ``workers=N`` — explicit pool size (``1`` is the serial loop);
 - ``REPRO_SWEEP_WORKERS`` env var — site-wide default pool size
   (``1`` disables parallelism without touching call sites);
 - ``policy=SupervisorPolicy(...)`` — retry/timeout/fallback budget;
@@ -48,12 +45,10 @@ from typing import Callable, Sequence
 from repro.core.analysis import RunMeasurement, SweepAnalysis
 from repro.errors import ExperimentError
 from repro.exec.backends import (
-    AsyncBackend,
     ForkBackend,
     GridTask,
     SocketBackend,
     import_ref,
-    resolve_backend,
     run_jobs,
 )
 from repro.exec.backends.wire import resolve_liveness
@@ -209,12 +204,10 @@ def _sweep_tag(spec: SweepSpec, scale: ExperimentScale) -> str:
 
 
 def run_sweep(spec: SweepSpec, scale: ExperimentScale, *,
-              parallel: bool | None = None,
               workers: int | None = None,
               policy: SupervisorPolicy | None = None,
               checkpoint: str | Path | None = None,
               resume: bool = True,
-              backend: str | None = None,
               grid_workers: str | Sequence | None = None,
               grid_task: GridTask | None = None,
               grid_token: str | None = None,
@@ -222,29 +215,24 @@ def run_sweep(spec: SweepSpec, scale: ExperimentScale, *,
               grid_liveness: float | None = None) -> SweepAnalysis:
     """Run every point ``scale.repetitions`` times; return the analysis.
 
-    ``backend`` selects where the grid executes (explicit argument >
-    ``REPRO_SWEEP_BACKEND`` env var > ``"fork"``):
+    The executor follows from the inputs:
 
-    - ``"fork"`` — the supervised local fork pool.  ``parallel=None``
-      (default) engages it whenever more than one worker is available
-      and the platform supports forked pools; ``parallel=False``
-      forces the serial path; ``parallel=True`` requires the pool
-      (serial fallback only if fork is unavailable);
-    - ``"async"`` — in-process serial execution through the same
-      driver (retry/timeout semantics intact, no forks) — smoke grids
-      and single-core CI;
-    - ``"socket"`` — the multi-host dispatcher: ``grid_workers`` names
-      the ``bps grid-worker`` daemons (``"host:port,host:port"``) and
-      ``grid_task`` the importable spec builder each worker re-runs
-      (:func:`spec_cell_task`; the ``run_setN`` entry points supply it
-      automatically).  ``grid_token`` (default: ``REPRO_GRID_TOKEN``
-      env var) must match the daemons' token, and
-      ``grid_heartbeat``/``grid_liveness`` set the dispatcher-side
-      liveness clocks (clamp-and-warn via
+    - ``grid_workers`` given — the multi-host socket dispatcher:
+      ``grid_workers`` names the ``bps grid-worker`` daemons
+      (``"host:port,host:port"``) and ``grid_task`` the importable
+      spec builder each worker re-runs (:func:`spec_cell_task`; the
+      ``run_setN`` entry points supply it automatically).
+      ``grid_token`` (default: ``REPRO_GRID_TOKEN`` env var) must
+      match the daemons' token, and ``grid_heartbeat``/
+      ``grid_liveness`` set the dispatcher-side liveness clocks
+      (clamp-and-warn via
       :func:`~repro.exec.backends.wire.resolve_liveness`; env
-      fallbacks ``REPRO_GRID_HEARTBEAT``/``REPRO_GRID_LIVENESS``).
+      fallbacks ``REPRO_GRID_HEARTBEAT``/``REPRO_GRID_LIVENESS``);
+    - otherwise, more than one worker (:func:`resolve_workers`) on a
+      platform with ``fork`` — the supervised local fork pool;
+    - anything else — the serial loop in this process.
 
-    Whatever the backend, worker count, or crash schedule, the
+    Whatever the executor, worker count, or crash schedule, the
     per-repetition seeds and the result order are identical, so the
     returned analysis matches the serial path bit-for-bit — crashes,
     retries, and resumed checkpoints included.
@@ -255,17 +243,11 @@ def run_sweep(spec: SweepSpec, scale: ExperimentScale, *,
     returned analysis as ``analysis.supervision``
     (:class:`~repro.exec.supervisor.SupervisionReport`).
     """
-    backend_name = resolve_backend(backend)
-    if backend_name == "socket":
-        if grid_workers is None:
-            raise ExperimentError(
-                "socket backend needs grid worker addresses "
-                "(grid_workers=\"host:port,host:port\")")
-        if grid_task is None:
-            raise ExperimentError(
-                "socket backend needs a grid task naming an importable "
-                "spec builder (see spec_cell_task); the run_setN entry "
-                "points supply one automatically")
+    if grid_workers is not None and grid_task is None:
+        raise ExperimentError(
+            "socket backend needs a grid task naming an importable "
+            "spec builder (see spec_cell_task); the run_setN entry "
+            "points supply one automatically")
     pool_size = resolve_workers(workers)
     jobs = _sweep_jobs(spec, scale)
 
@@ -292,13 +274,8 @@ def run_sweep(spec: SweepSpec, scale: ExperimentScale, *,
             journal.record(_job_key(jobs[index]),
                            measurement_to_payload(payload))
 
-    if backend_name == "fork":
-        engage = (parallel if parallel is not None else pool_size > 1) \
-            and pool_size > 1 and fork_available()
-    else:
-        # async/socket run through the driver unless serial is forced.
-        engage = parallel is not False
-    engage = engage and len(todo) > 1
+    engage = len(todo) > 1 and (
+        grid_workers is not None or (pool_size > 1 and fork_available()))
     report = SupervisionReport(jobs=len(todo))
     try:
         if todo:
@@ -306,9 +283,7 @@ def run_sweep(spec: SweepSpec, scale: ExperimentScale, *,
                 for position, index in enumerate(todo):
                     on_result(position, _run_job(spec, jobs[index]))
             else:
-                if backend_name == "fork":
-                    exec_backend = ForkBackend(min(pool_size, len(todo)))
-                elif backend_name == "socket":
+                if grid_workers is not None:
                     token = grid_token if grid_token is not None \
                         else os.environ.get("REPRO_GRID_TOKEN") or None
                     hb, lv = resolve_liveness(grid_heartbeat,
@@ -317,8 +292,8 @@ def run_sweep(spec: SweepSpec, scale: ExperimentScale, *,
                         grid_workers, grid_task, token=token,
                         heartbeat_interval=hb, liveness_timeout=lv)
                 else:
-                    exec_backend = AsyncBackend()
-                report.backend = backend_name
+                    exec_backend = ForkBackend(min(pool_size, len(todo)))
+                report.backend = exec_backend.name
 
                 def local_cell(job: tuple[int, int]) -> RunMeasurement:
                     return _run_job(spec, job)

@@ -1,54 +1,9 @@
-"""Backend interface: driver semantics, async backend, backend resolution."""
+"""Backend interface: job outcomes and grid tasks."""
 
 import pytest
 
-from repro.errors import ExperimentError, SupervisionError
-from repro.exec.backends import (
-    AsyncBackend,
-    BACKEND_NAMES,
-    GridTask,
-    JobOutcome,
-    import_ref,
-    resolve_backend,
-    run_jobs,
-)
-from repro.exec.supervisor import SupervisionReport, SupervisorPolicy
-
-
-def _run(jobs, fn, *, policy=None, report=None, on_result=None,
-         backend=None):
-    report = report if report is not None else SupervisionReport(
-        jobs=len(jobs))
-    results = run_jobs(backend or AsyncBackend(), jobs, fn,
-                       policy=policy or SupervisorPolicy(),
-                       report=report, on_result=on_result)
-    return results, report
-
-
-class TestResolveBackend:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "socket")
-        assert resolve_backend("async") == "async"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "async")
-        assert resolve_backend() == "async"
-
-    def test_default_is_fork(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_BACKEND", raising=False)
-        assert resolve_backend() == "fork"
-
-    def test_bad_explicit_raises(self):
-        with pytest.raises(ExperimentError, match="unknown sweep backend"):
-            resolve_backend("threads")
-
-    def test_bad_env_clamps_with_warning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "threads")
-        with pytest.warns(RuntimeWarning, match="not a valid sweep backend"):
-            assert resolve_backend() == "fork"
-
-    def test_registry_names(self):
-        assert BACKEND_NAMES == ("fork", "async", "socket")
+from repro.errors import SupervisionError
+from repro.exec.backends import GridTask, JobOutcome, import_ref
 
 
 class TestJobOutcome:
@@ -75,84 +30,3 @@ class TestGridTask:
                         args=("repro.exec.backends.wire:parse_hostport",))
         fn = task.resolve()
         assert fn("h:1") == ("h", 1)
-
-
-class TestDriverWithAsyncBackend:
-    def test_results_in_submission_order(self):
-        jobs = list(range(8))
-        results, report = _run(jobs, lambda j: j * 10)
-        assert results == [j * 10 for j in jobs]
-        assert report.pooled == 8
-        assert not report.serial_fallback
-
-    def test_on_result_fires_once_per_job(self):
-        seen = []
-        _run([1, 2, 3], lambda j: j,
-             on_result=lambda i, payload: seen.append((i, payload)))
-        assert sorted(seen) == [(0, 1), (1, 2), (2, 3)]
-
-    def test_raising_job_retries_then_succeeds(self):
-        calls = {}
-
-        def flaky(job):
-            calls[job] = calls.get(job, 0) + 1
-            if job == 2 and calls[job] == 1:
-                raise ValueError("first attempt fails")
-            return job
-
-        results, report = _run([0, 1, 2, 3], flaky)
-        assert results == [0, 1, 2, 3]
-        assert report.job_errors == 1
-        assert report.retried_jobs == {2: 1}
-
-    def test_retry_budget_exhaustion_raises(self):
-        def always_fails(job):
-            raise ValueError("never works")
-
-        with pytest.raises(SupervisionError,
-                           match="failed after 3 attempt"):
-            _run([0], always_fails,
-                 policy=SupervisorPolicy(max_retries=2))
-
-    def test_chaos_exit_becomes_survivable_error(self, monkeypatch):
-        # In-process there is no worker to kill, so "exit" chaos is
-        # remapped to a raised error: same retry path, no dead pytest.
-        monkeypatch.setenv("REPRO_TEST_KILL_JOB", "1:exit")
-        results, report = _run([10, 20, 30], lambda j: j)
-        assert results == [10, 20, 30]
-        assert report.retried_jobs == {1: 1}
-
-    def test_chaos_raise_retries(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KILL_JOB", "0:raise")
-        results, report = _run([5, 6], lambda j: j)
-        assert results == [5, 6]
-        assert report.job_errors == 1
-
-    def test_hang_reaped_by_timeout(self):
-        import time
-
-        calls = {}
-
-        def sleepy(job):
-            calls[job] = calls.get(job, 0) + 1
-            if job == 0 and calls[job] == 1:
-                time.sleep(30.0)
-            return job
-
-        results, report = _run(
-            [0, 1], sleepy,
-            policy=SupervisorPolicy(job_timeout=0.3, poll_interval=0.05))
-        assert results == [0, 1]
-        assert report.timeouts == 1
-        assert report.retried_jobs == {0: 1}
-
-    def test_unhealthy_backend_falls_back_to_serial(self):
-        class DeadBackend(AsyncBackend):
-            def healthy(self):
-                return False
-
-        results, report = _run([1, 2, 3], lambda j: -j,
-                               backend=DeadBackend())
-        assert results == [-1, -2, -3]
-        assert report.serial_fallback
-        assert report.pooled == 0

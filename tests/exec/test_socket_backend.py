@@ -6,6 +6,7 @@ under the shared driver — handshake, liveness, worker death, and
 dispatcher-side aborts all exercised over a real TCP socket.
 """
 
+import os
 import signal
 import time
 
@@ -142,6 +143,60 @@ class TestAbort:
         assert results == [101, 102, 103]
         assert report.crashes == 1
         assert report.retried_jobs == {1: 1}
+
+
+def _stat(pid):
+    """``(state, ppid)`` from ``/proc/PID/stat``, or None if it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+    return fields[0], int(fields[1])
+
+
+def _children(pid):
+    return [int(entry) for entry in os.listdir("/proc")
+            if entry.isdigit() and (_stat(entry) or ("", 0))[1] == pid]
+
+
+def _alive(pid):
+    stat = _stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="needs /proc to find the job child")
+class TestShutdown:
+    def test_sigterm_takes_the_running_cell_down(self, spawn_worker):
+        # The daemon's job child is mid-cell (a chaos hang) when the
+        # daemon is terminated: the child must die with it, not live
+        # on re-parented to init.
+        proc, addr = spawn_worker(
+            env_extra={"REPRO_TEST_KILL_JOB": "0:hang"})
+        backend = SocketBackend(addr, TASK)
+        backend.start(_local_fn, SupervisorPolicy(),
+                      SupervisionReport(jobs=1), 1)
+        children = []
+        try:
+            assert backend.submit(0, 0, 1)
+            deadline = time.monotonic() + 10.0
+            while not children:
+                assert time.monotonic() < deadline, "no job child"
+                time.sleep(0.02)
+                children = _children(proc.pid)
+            time.sleep(0.3)  # let the cell reach its hang
+            proc.terminate()
+            assert proc.wait(timeout=10) == 0
+            deadline = time.monotonic() + 5.0
+            while any(map(_alive, children)) and \
+                    time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_alive, children))
+        finally:
+            backend.cancel()
+            for pid in filter(_alive, children):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestStragglers:

@@ -129,6 +129,12 @@ class TestPolicyValidation:
             SupervisorPolicy(max_worker_respawns=-1)
         with pytest.raises(SupervisionError):
             SupervisorPolicy(poll_interval=0)
+        # A NaN deadline would reap every running cell at first poll.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(SupervisionError, match="job_timeout"):
+                SupervisorPolicy(job_timeout=bad)
+            with pytest.raises(SupervisionError, match="poll_interval"):
+                SupervisorPolicy(poll_interval=bad)
 
     def test_report_summary_mentions_events(self):
         report = SupervisionReport(jobs=5, crashes=1, timeouts=2,

@@ -14,11 +14,10 @@ import zlib
 import pytest
 
 from repro.errors import FrameCorruptionError, GridError
+from repro.exec.backends import wire
 from repro.exec.backends.wire import (
     DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_LIVENESS_TIMEOUT,
-    MAX_FRAME_BYTES,
-    max_frame_bytes,
     parse_hostport,
     recv_frame,
     resolve_liveness,
@@ -83,57 +82,19 @@ class TestFraming:
                            match="would not unpickle"):
             recv_frame(b)
 
-    def test_send_over_the_bound_is_a_caller_error(self, pair):
+    def test_send_over_the_bound_is_a_caller_error(self, pair,
+                                                   monkeypatch):
         a, _b = pair
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 64)
         with pytest.raises(GridError, match="exceeds 64"):
-            send_frame(a, {"blob": "x" * 1000}, limit=64)
+            send_frame(a, {"blob": "x" * 1000})
 
-    def test_recv_respects_an_explicit_limit(self, pair):
+    def test_recv_respects_an_explicit_limit(self, pair, monkeypatch):
         a, b = pair
         send_frame(a, {"blob": "x" * 1000})
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 64)
         with pytest.raises(FrameCorruptionError, match="exceeds 64"):
-            recv_frame(b, limit=64)
-
-
-class TestFrameBound:
-    def test_explicit_limit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRID_MAX_FRAME", "123")
-        assert max_frame_bytes(456) == 456
-
-    def test_non_positive_explicit_limit_raises(self):
-        with pytest.raises(GridError, match="must be > 0"):
-            max_frame_bytes(0)
-
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRID_MAX_FRAME", "4096")
-        assert max_frame_bytes() == 4096
-
-    @pytest.mark.parametrize("value", ["-5", "lots", "0"])
-    def test_bad_env_var_clamps_to_default_with_warning(
-            self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_GRID_MAX_FRAME", value)
-        with pytest.warns(RuntimeWarning, match="REPRO_GRID_MAX_FRAME"):
-            assert max_frame_bytes() == MAX_FRAME_BYTES
-
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GRID_MAX_FRAME", raising=False)
-        assert max_frame_bytes() == MAX_FRAME_BYTES
-
-    def test_hot_path_reads_the_env_bound_once_per_process(
-            self, monkeypatch, pair):
-        # send/recv resolve the env bound through a process cache (an
-        # environ lookup per frame would cost more than the CRC).
-        import repro.exec.backends.wire as wire
-
-        monkeypatch.setattr(wire, "_cached_bound", None)
-        monkeypatch.setenv("REPRO_GRID_MAX_FRAME", "64")
-        a, _b = pair
-        with pytest.raises(GridError, match="exceeds 64"):
-            send_frame(a, {"blob": "x" * 1000})
-        # Later env edits are invisible until the cache resets.
-        monkeypatch.setenv("REPRO_GRID_MAX_FRAME", "1048576")
-        with pytest.raises(GridError, match="exceeds 64"):
-            send_frame(a, {"blob": "x" * 1000})
+            recv_frame(b)
 
 
 class TestLivenessResolution:
@@ -159,6 +120,21 @@ class TestLivenessResolution:
         with pytest.warns(RuntimeWarning, match="not positive"):
             heartbeat, _liveness = resolve_liveness(-1.0, 20.0)
         assert heartbeat == DEFAULT_HEARTBEAT_INTERVAL
+
+    @pytest.mark.parametrize("clocks", [
+        (float("nan"), None), (float("inf"), None),
+        (None, float("nan")), (None, float("inf")),
+    ])
+    def test_non_finite_clock_clamps_with_warning(self, clocks):
+        with pytest.warns(RuntimeWarning, match="not positive"):
+            assert resolve_liveness(*clocks) == (
+                DEFAULT_HEARTBEAT_INTERVAL, DEFAULT_LIVENESS_TIMEOUT)
+
+    def test_non_finite_env_clock_clamps_with_warning(self, monkeypatch):
+        monkeypatch.setenv("REPRO_GRID_LIVENESS", "nan")
+        with pytest.warns(RuntimeWarning, match="not positive"):
+            assert resolve_liveness() == (DEFAULT_HEARTBEAT_INTERVAL,
+                                          DEFAULT_LIVENESS_TIMEOUT)
 
     def test_liveness_not_exceeding_heartbeat_clamps_to_double(self):
         with pytest.warns(RuntimeWarning, match="must exceed"):

@@ -88,17 +88,16 @@ class TestParallelSweep:
 
     def test_parallel_matches_serial_exactly(self):
         scale = ExperimentScale(repetitions=2)
-        serial = run_sweep(self.make_spec(), scale, parallel=False)
-        parallel = run_sweep(self.make_spec(), scale, parallel=True,
-                             workers=2)
+        serial = run_sweep(self.make_spec(), scale, workers=1)
+        parallel = run_sweep(self.make_spec(), scale, workers=2)
         assert serial.labels == parallel.labels
         assert _metric_tuples(serial) == _metric_tuples(parallel)
 
-    def test_parallel_false_is_the_escape_hatch(self):
+    def test_workers_one_is_the_serial_loop(self):
         scale = ExperimentScale(repetitions=2)
-        sweep = run_sweep(self.make_spec(), scale, parallel=False,
-                          workers=8)
+        sweep = run_sweep(self.make_spec(), scale, workers=1)
         assert len(sweep._points[0][1]) == 2
+        assert sweep.supervision.backend == "serial"
 
     def test_env_override_resolves_workers(self, monkeypatch):
         from repro.experiments.runner import resolve_workers

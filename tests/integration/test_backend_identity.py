@@ -2,10 +2,11 @@
 
 The backend contract (DESIGN.md §14) says a sweep's analysis is a pure
 function of (spec, scale) — never of where the cells ran.  These tests
-drive the same Set 1 smoke grid through the fork pool, the in-process
-async backend, and the socket dispatcher (real ``bps grid-worker``
+drive the same Set 1 smoke grid through the serial loop, the fork
+pool, and the socket dispatcher (real ``bps grid-worker``
 subprocesses), including an interrupted run resumed on a *different*
-backend than it started on, and require bit-identical output each time.
+executor than it started on, and require bit-identical output each
+time.
 """
 
 import os
@@ -34,7 +35,7 @@ def metric_tuples(sweep):
 
 @pytest.fixture(scope="module")
 def serial_sweep():
-    return run_set1(SCALE, parallel=False)
+    return run_set1(SCALE, workers=1)
 
 
 @pytest.fixture
@@ -65,20 +66,16 @@ def grid_worker():
 
 
 class TestBackendIdentity:
-    def test_async_matches_serial(self, serial_sweep):
-        asy = run_set1(SCALE, backend="async")
-        assert metric_tuples(asy) == metric_tuples(serial_sweep)
-        assert asy.supervision.backend == "async"
-
     @pytest.mark.skipif(not fork_available(),
                         reason="needs the fork start method")
     def test_fork_matches_serial(self, serial_sweep):
-        fork = run_set1(SCALE, backend="fork", parallel=True, workers=2)
+        fork = run_set1(SCALE, workers=2)
         assert metric_tuples(fork) == metric_tuples(serial_sweep)
+        assert fork.supervision.backend == "fork"
 
     def test_socket_matches_serial(self, serial_sweep, grid_worker):
         addrs = f"{grid_worker()},{grid_worker()}"
-        sock = run_set1(SCALE, backend="socket", grid_workers=addrs)
+        sock = run_set1(SCALE, grid_workers=addrs)
         assert metric_tuples(sock) == metric_tuples(serial_sweep)
         assert sock.supervision.backend == "socket"
 
@@ -86,14 +83,8 @@ class TestBackendIdentity:
             self, serial_sweep, grid_worker):
         # One worker exits mid-sweep; its in-flight cell re-queues.
         addrs = f"{grid_worker('--exit-after-jobs', '2')},{grid_worker()}"
-        sock = run_set1(SCALE, backend="socket", grid_workers=addrs)
+        sock = run_set1(SCALE, grid_workers=addrs)
         assert metric_tuples(sock) == metric_tuples(serial_sweep)
-
-    def test_env_var_selects_backend(self, serial_sweep, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "async")
-        asy = run_set1(SCALE)
-        assert asy.supervision.backend == "async"
-        assert metric_tuples(asy) == metric_tuples(serial_sweep)
 
 
 @pytest.mark.skipif(not fork_available(),
@@ -103,8 +94,7 @@ class TestCrossBackendResume:
         """A checkpoint journal from a fork run cut off after ``keep``
         completed cells — the on-disk state of an interrupted sweep."""
         path = tmp_path / "sweep.ckpt.jsonl"
-        run_set1(SCALE, backend="fork", parallel=True, workers=2,
-                 checkpoint=path)
+        run_set1(SCALE, workers=2, checkpoint=path)
         lines = path.read_text().splitlines()
         header, entries = lines[0], [l for l in lines[1:]
                                      if '"kind": "entry"' in l]
@@ -112,9 +102,10 @@ class TestCrossBackendResume:
         path.write_text("\n".join([header] + entries[:keep]) + "\n")
         return path
 
-    def test_fork_interrupt_resume_on_async(self, tmp_path, serial_sweep):
+    def test_fork_interrupt_resume_serially(self, tmp_path,
+                                            serial_sweep):
         path = self._interrupted_fork_journal(tmp_path, keep=5)
-        resumed = run_set1(SCALE, backend="async", checkpoint=path)
+        resumed = run_set1(SCALE, workers=1, checkpoint=path)
         assert metric_tuples(resumed) == metric_tuples(serial_sweep)
         # Only the journal's missing cells re-ran.
         assert resumed.supervision.jobs == 6 * SCALE.repetitions - 5
@@ -126,8 +117,7 @@ class TestCrossBackendResume:
                                              grid_worker):
         path = self._interrupted_fork_journal(tmp_path, keep=5)
         addrs = f"{grid_worker()},{grid_worker()}"
-        resumed = run_set1(SCALE, backend="socket", grid_workers=addrs,
-                           checkpoint=path)
+        resumed = run_set1(SCALE, grid_workers=addrs, checkpoint=path)
         assert metric_tuples(resumed) == metric_tuples(serial_sweep)
         assert resumed.supervision.jobs == 6 * SCALE.repetitions - 5
         journal = CheckpointJournal(path)

@@ -122,8 +122,8 @@ class TestFaultedDeterminism:
     def test_faulted_sweep_serial_matches_parallel(self):
         scale = ExperimentScale(factor=0.25, repetitions=2)
         spec = build_sweep(scale)
-        serial = run_sweep(spec, scale, parallel=False)
-        parallel = run_sweep(spec, scale, workers=2, parallel=True)
+        serial = run_sweep(spec, scale, workers=1)
+        parallel = run_sweep(spec, scale, workers=2)
         for ser, par in zip(serial.averaged(), parallel.averaged()):
             assert ser.bps == par.bps
             assert ser.exec_time == par.exec_time

@@ -50,10 +50,10 @@ SCALE = ExperimentScale(repetitions=2)
                     reason="needs the fork start method")
 class TestChaosSweep:
     def test_sweep_survives_worker_kill_bit_identically(self, monkeypatch):
-        serial = run_sweep(make_spec(), SCALE, parallel=False)
+        serial = run_sweep(make_spec(), SCALE, workers=1)
         # Kill the worker running job 1 and crash job 4's first attempt.
         monkeypatch.setenv("REPRO_TEST_KILL_JOB", "1:exit,4:raise")
-        chaotic = run_sweep(make_spec(), SCALE, parallel=True, workers=2)
+        chaotic = run_sweep(make_spec(), SCALE, workers=2)
         assert metric_tuples(chaotic) == metric_tuples(serial)
         assert chaotic.supervision.crashes == 1
         assert chaotic.supervision.job_errors == 1
@@ -63,7 +63,7 @@ class TestChaosSweep:
 class TestCheckpointResume:
     def test_interrupted_sweep_resumes_identically(self, tmp_path,
                                                    monkeypatch):
-        serial = run_sweep(make_spec(), SCALE, parallel=False)
+        serial = run_sweep(make_spec(), SCALE, workers=1)
         path = tmp_path / "sweep.ckpt.jsonl"
 
         # Interrupt the first (serial, checkpointed) run after 3 jobs.
@@ -78,7 +78,7 @@ class TestCheckpointResume:
 
         monkeypatch.setattr(runner_module, "_run_job", interrupting)
         with pytest.raises(KeyboardInterrupt):
-            run_sweep(make_spec(), SCALE, parallel=False,
+            run_sweep(make_spec(), SCALE, workers=1,
                       checkpoint=path)
         monkeypatch.setattr(runner_module, "_run_job", real_run_job)
 
@@ -95,22 +95,22 @@ class TestCheckpointResume:
             return real_run_job(spec, job)
 
         monkeypatch.setattr(runner_module, "_run_job", counting)
-        resumed = run_sweep(make_spec(), SCALE, parallel=False,
+        resumed = run_sweep(make_spec(), SCALE, workers=1,
                             checkpoint=path)
         assert metric_tuples(resumed) == metric_tuples(serial)
         assert reran["n"] == 3 * SCALE.repetitions - 3
 
         # A second resume of the finalized journal re-runs nothing.
         reran["n"] = 0
-        replayed = run_sweep(make_spec(), SCALE, parallel=False,
+        replayed = run_sweep(make_spec(), SCALE, workers=1,
                              checkpoint=path)
         assert reran["n"] == 0
         assert metric_tuples(replayed) == metric_tuples(serial)
 
     def test_torn_journal_tail_resumes(self, tmp_path, monkeypatch):
         path = tmp_path / "sweep.ckpt.jsonl"
-        run_sweep(make_spec(), SCALE, parallel=False, checkpoint=path)
-        serial = run_sweep(make_spec(), SCALE, parallel=False)
+        run_sweep(make_spec(), SCALE, workers=1, checkpoint=path)
+        serial = run_sweep(make_spec(), SCALE, workers=1)
 
         # Drop the final marker and tear the last entry, as a crash
         # mid-append would.
@@ -119,26 +119,26 @@ class TestCheckpointResume:
         torn = lines[:-2] + [lines[-2][: len(lines[-2]) // 2]]
         path.write_text("\n".join(torn) + "\n")
 
-        resumed = run_sweep(make_spec(), SCALE, parallel=False,
+        resumed = run_sweep(make_spec(), SCALE, workers=1,
                             checkpoint=path)
         assert metric_tuples(resumed) == metric_tuples(serial)
 
     def test_checkpoint_refuses_a_different_sweep(self, tmp_path):
         path = tmp_path / "sweep.ckpt.jsonl"
-        run_sweep(make_spec(), SCALE, parallel=False, checkpoint=path)
+        run_sweep(make_spec(), SCALE, workers=1, checkpoint=path)
         other_scale = ExperimentScale(repetitions=3)
         with pytest.raises(CheckpointError, match="different run"):
-            run_sweep(make_spec(), other_scale, parallel=False,
+            run_sweep(make_spec(), other_scale, workers=1,
                       checkpoint=path)
 
     @pytest.mark.skipif(not fork_available(),
                         reason="needs the fork start method")
     def test_pooled_checkpointed_chaotic_run_matches_serial(
             self, tmp_path, monkeypatch):
-        serial = run_sweep(make_spec(), SCALE, parallel=False)
+        serial = run_sweep(make_spec(), SCALE, workers=1)
         monkeypatch.setenv("REPRO_TEST_KILL_JOB", "2:exit")
         path = tmp_path / "sweep.ckpt.jsonl"
-        chaotic = run_sweep(make_spec(), SCALE, parallel=True,
+        chaotic = run_sweep(make_spec(), SCALE,
                             workers=2, checkpoint=path,
                             policy=SupervisorPolicy(max_retries=2))
         assert metric_tuples(chaotic) == metric_tuples(serial)

@@ -1,6 +1,7 @@
 """CLI toolkit end to end."""
 
 import json
+import socket
 
 import pytest
 
@@ -146,6 +147,21 @@ class TestSweep:
         header, *rows = text.strip().splitlines()
         assert header.startswith("point,iops,")
         assert len(rows) == 6  # one row per queue depth
+
+    def test_nan_job_timeout_is_error(self, capsys):
+        assert main(["sweep", "set1", "--smoke",
+                     "--job-timeout", "nan"]) == 1
+        assert "error: job_timeout" in capsys.readouterr().err
+
+    def test_unreachable_grid_workers_is_error(self, capsys):
+        # Addresses mean the socket dispatcher; they are never ignored
+        # in favour of the local pool.
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        assert main(["sweep", "set1", "--smoke", "--grid-workers",
+                     f"127.0.0.1:{port}"]) == 1
+        assert "no grid workers reachable" in capsys.readouterr().err
 
 
 class TestSimulate:
