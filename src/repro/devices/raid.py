@@ -23,7 +23,7 @@ from repro.devices.base import (
 )
 from repro.errors import DeviceError
 from repro.sim.engine import Engine
-from repro.sim.events import Completion
+from repro.sim.events import Waitable
 from repro.sim.monitor import UtilizationTracker
 from repro.util.units import KiB
 
@@ -93,23 +93,21 @@ class RAIDArray:
 
     # -- BlockDevice protocol --------------------------------------------------
 
-    def submit(self, request: DeviceRequest) -> Completion:
-        """Queue a request; completion fires with a DeviceResult."""
+    def submit(self, request: DeviceRequest) -> Waitable:
+        """Queue a request; the waitable fires with a DeviceResult."""
         if request.end > self.capacity_bytes:
             raise DeviceError(
                 f"{self.name}: request [{request.offset}, {request.end}) "
                 f"exceeds capacity {self.capacity_bytes}"
             )
-        done = self.engine.completion()
-        self.engine.spawn(self._serve(request, done),
-                          name=f"{self.name}.serve")
-        return done
+        return self.engine.spawn(self._serve(request),
+                                 name=f"{self.name}.serve")
 
-    def access(self, op: str, offset: int, nbytes: int) -> Completion:
+    def access(self, op: str, offset: int, nbytes: int) -> Waitable:
         """Convenience wrapper building the request inline."""
         return self.submit(DeviceRequest(op, offset, nbytes))
 
-    def _serve(self, request: DeviceRequest, done: Completion):
+    def _serve(self, request: DeviceRequest):
         start = self.engine.now
         self.utilization.busy()
         try:
@@ -134,8 +132,8 @@ class RAIDArray:
                 self.stats.bytes_written += request.nbytes
         if not success:
             self.stats.faults += 1
-        done.trigger(DeviceResult(request, start, self.engine.now,
-                                  success=success, error=errors))
+        return DeviceResult(request, start, self.engine.now,
+                            success=success, error=errors)
 
     @property
     def queue_length(self) -> int:

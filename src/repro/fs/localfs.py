@@ -22,7 +22,7 @@ from repro.errors import FileSystemError
 from repro.fs.blockmap import Extent, ExtentAllocator, FileMap
 from repro.fs.cache import PageCache
 from repro.sim.engine import Engine
-from repro.sim.events import Completion
+from repro.sim.events import Waitable
 
 
 @dataclass
@@ -170,44 +170,38 @@ class LocalFileSystem:
             return 0
         return len(self.cache.drop_caches())
 
-    def flush(self) -> Completion:
-        """Write back all dirty pages; completion fires when durable."""
-        done = self.engine.completion()
-        self.engine.spawn(self._flush_proc(done), name=f"{self.name}.flush")
-        return done
+    def flush(self) -> Waitable:
+        """Write back all dirty pages; the waitable fires when durable."""
+        return self.engine.spawn(self._flush_proc(),
+                                 name=f"{self.name}.flush")
 
-    def _flush_proc(self, done: Completion):
+    def _flush_proc(self):
         if self.cache is None:
             yield self.engine.timeout(0.0)
-            done.trigger(0)
-            return
+            return 0
         dirty = self.cache.flush()
         extents = []
         for file_name, page in dirty:
             extents.extend(self._page_extents(file_name, page))
         if extents:
             yield from self._issue(WRITE, extents)
-        done.trigger(len(dirty))
+        return len(dirty)
 
     # -- I/O paths ---------------------------------------------------------------
 
-    def read(self, file_name: str, offset: int, nbytes: int) -> Completion:
-        """Read ``nbytes`` at ``offset``; completion fires with FSResult."""
+    def read(self, file_name: str, offset: int, nbytes: int) -> Waitable:
+        """Read ``nbytes`` at ``offset``; the waitable fires with FSResult."""
         fmap = self._lookup(file_name)
         self._check_range(fmap, offset, nbytes)
-        done = self.engine.completion()
-        self.engine.spawn(self._read_proc(fmap, offset, nbytes, done),
-                          name=f"{self.name}.read")
-        return done
+        return self.engine.spawn(self._read_proc(fmap, offset, nbytes),
+                                 name=f"{self.name}.read")
 
-    def write(self, file_name: str, offset: int, nbytes: int) -> Completion:
-        """Write ``nbytes`` at ``offset``; completion fires with FSResult."""
+    def write(self, file_name: str, offset: int, nbytes: int) -> Waitable:
+        """Write ``nbytes`` at ``offset``; the waitable fires with FSResult."""
         fmap = self._lookup(file_name)
         self._check_range(fmap, offset, nbytes)
-        done = self.engine.completion()
-        self.engine.spawn(self._write_proc(fmap, offset, nbytes, done),
-                          name=f"{self.name}.write")
-        return done
+        return self.engine.spawn(self._write_proc(fmap, offset, nbytes),
+                                 name=f"{self.name}.write")
 
     @staticmethod
     def _check_range(fmap: FileMap, offset: int, nbytes: int) -> None:
@@ -229,7 +223,7 @@ class LocalFileSystem:
             return []
         return fmap.translate(start, length)
 
-    def _submit_device(self, op: str, extent: Extent) -> Completion:
+    def _submit_device(self, op: str, extent: Extent) -> Waitable:
         return self.device.submit(DeviceRequest(op, extent.device_offset,
                                                 extent.length))
 
@@ -278,8 +272,7 @@ class LocalFileSystem:
             outstanding = failed
         return moved, errors
 
-    def _read_proc(self, fmap: FileMap, offset: int, nbytes: int,
-                   done: Completion):
+    def _read_proc(self, fmap: FileMap, offset: int, nbytes: int):
         start = self.engine.now
         self.stats.calls += 1
         self.stats.bytes_requested += nbytes
@@ -289,11 +282,8 @@ class LocalFileSystem:
             # Straight-through: one device request per extent run.
             moved, errors = yield from self._issue(
                 READ, fmap.translate(offset, nbytes))
-            done.trigger(FSResult(nbytes, moved, 0, 0, start,
-                                  self.engine.now,
-                                  success=not errors,
-                                  errors=tuple(errors)))
-            return
+            return FSResult(nbytes, moved, 0, 0, start, self.engine.now,
+                            success=not errors, errors=tuple(errors))
 
         cache = self.cache
         pages = cache.page_range(offset, nbytes)
@@ -330,12 +320,11 @@ class LocalFileSystem:
             self.engine.spawn(self._drain(writeback_extents),
                               name=f"{self.name}.writeback")
 
-        done.trigger(FSResult(nbytes, moved, hits, len(missing), start,
-                              self.engine.now,
-                              success=not errors, errors=tuple(errors)))
+        return FSResult(nbytes, moved, hits, len(missing), start,
+                        self.engine.now,
+                        success=not errors, errors=tuple(errors))
 
-    def _write_proc(self, fmap: FileMap, offset: int, nbytes: int,
-                    done: Completion):
+    def _write_proc(self, fmap: FileMap, offset: int, nbytes: int):
         start = self.engine.now
         self.stats.calls += 1
         yield self.engine.timeout(self.per_call_overhead_s)
@@ -344,10 +333,8 @@ class LocalFileSystem:
         if cache is None or cache.capacity_pages == 0:
             moved, errors = yield from self._issue(
                 WRITE, fmap.translate(offset, nbytes))
-            done.trigger(FSResult(nbytes, moved, 0, 0, start,
-                                  self.engine.now,
-                                  success=not errors, errors=tuple(errors)))
-            return
+            return FSResult(nbytes, moved, 0, 0, start, self.engine.now,
+                            success=not errors, errors=tuple(errors))
 
         pages = cache.page_range(offset, nbytes)
         if cache.policy == "write-through":
@@ -355,10 +342,8 @@ class LocalFileSystem:
                 WRITE, fmap.translate(offset, nbytes))
             for page in pages:
                 cache.insert(fmap.name, page, dirty=False)
-            done.trigger(FSResult(nbytes, moved, 0, 0, start,
-                                  self.engine.now,
-                                  success=not errors, errors=tuple(errors)))
-            return
+            return FSResult(nbytes, moved, 0, 0, start, self.engine.now,
+                            success=not errors, errors=tuple(errors))
 
         # write-back: dirty the pages, write-back only on eviction/flush.
         writeback_extents: list[Extent] = []
@@ -369,7 +354,7 @@ class LocalFileSystem:
             self.engine.spawn(self._drain(writeback_extents),
                               name=f"{self.name}.writeback")
         yield self.engine.timeout(0.0)  # cache write is (nearly) free
-        done.trigger(FSResult(nbytes, 0, 0, 0, start, self.engine.now))
+        return FSResult(nbytes, 0, 0, 0, start, self.engine.now)
 
     def _drain(self, extents: list[Extent]):
         yield from self._issue(WRITE, extents)

@@ -22,7 +22,7 @@ from repro.errors import MiddlewareError
 from repro.fs.localfs import FSResult
 from repro.middleware.tracing import TraceRecorder
 from repro.sim.engine import Engine
-from repro.sim.events import Completion
+from repro.sim.events import Waitable
 from repro.sim.resources import Resource
 
 
@@ -54,7 +54,7 @@ class AsyncIOContext:
         self.size = mount.size_of(file_name)
         self._slots = Resource(engine, capacity=queue_depth,
                                name=f"aio.{pid}.slots")
-        self._outstanding: list[Completion] = []
+        self._outstanding: list[Waitable] = []
         self.submitted = 0
         self.completed = 0
 
@@ -70,25 +70,23 @@ class AsyncIOContext:
                 f"{self.file_name!r} of size {self.size}"
             )
 
-    def submit_read(self, offset: int, nbytes: int) -> Completion:
+    def submit_read(self, offset: int, nbytes: int) -> Waitable:
         """Queue an asynchronous read; fires with the FSResult."""
         return self._submit(READ, offset, nbytes)
 
-    def submit_write(self, offset: int, nbytes: int) -> Completion:
+    def submit_write(self, offset: int, nbytes: int) -> Waitable:
         """Queue an asynchronous write; fires with the FSResult."""
         return self._submit(WRITE, offset, nbytes)
 
-    def _submit(self, op: str, offset: int, nbytes: int) -> Completion:
+    def _submit(self, op: str, offset: int, nbytes: int) -> Waitable:
         self._check(offset, nbytes)
-        done = self.engine.completion()
         self.submitted += 1
-        self._outstanding.append(done)
-        self.engine.spawn(self._io_proc(op, offset, nbytes, done),
-                          name=f"aio.{self.pid}.{op}")
-        return done
+        io = self.engine.spawn(self._io_proc(op, offset, nbytes),
+                               name=f"aio.{self.pid}.{op}")
+        self._outstanding.append(io)
+        return io
 
-    def _io_proc(self, op: str, offset: int, nbytes: int,
-                 done: Completion):
+    def _io_proc(self, op: str, offset: int, nbytes: int):
         submitted_at = self.engine.now
         yield self.engine.timeout(self.submit_overhead_s)
         grant = self._slots.acquire()
@@ -111,9 +109,9 @@ class AsyncIOContext:
                                     offset=offset,
                                     start=submitted_at, end=end)
         self.completed += 1
-        done.trigger(result)
+        return result
 
-    def drain(self) -> Completion:
+    def drain(self) -> Waitable:
         """Waitable that fires when everything submitted so far is done."""
         pending = [c for c in self._outstanding if not c.fired]
         self._outstanding = pending.copy()

@@ -36,7 +36,7 @@ from repro.middleware.sieving import (
 )
 from repro.middleware.tracing import TraceRecorder
 from repro.sim.engine import Engine
-from repro.sim.events import Completion
+from repro.sim.events import Completion, Waitable
 from repro.util.rng import RngStream
 from repro.util.units import GiB
 
@@ -115,11 +115,11 @@ class MPIFile:
 
     # -- independent contiguous ------------------------------------------------
 
-    def read_at(self, offset: int, nbytes: int) -> Completion:
+    def read_at(self, offset: int, nbytes: int) -> Waitable:
         """Independent read at an explicit offset."""
         return self._independent(READ, offset, nbytes)
 
-    def write_at(self, offset: int, nbytes: int) -> Completion:
+    def write_at(self, offset: int, nbytes: int) -> Waitable:
         """Independent write at an explicit offset."""
         return self._independent(WRITE, offset, nbytes)
 
@@ -130,15 +130,13 @@ class MPIFile:
                 f"{self.file_name!r} of size {self.size}"
             )
 
-    def _independent(self, op: str, offset: int, nbytes: int) -> Completion:
+    def _independent(self, op: str, offset: int, nbytes: int) -> Waitable:
         self._check(offset, nbytes)
-        done = self.engine.completion()
-        self.engine.spawn(self._independent_proc(op, offset, nbytes, done),
-                          name=f"mpiio.{op}.r{self.rank}")
-        return done
+        return self.engine.spawn(
+            self._independent_proc(op, offset, nbytes),
+            name=f"mpiio.{op}.r{self.rank}")
 
-    def _independent_proc(self, op: str, offset: int, nbytes: int,
-                          done: Completion):
+    def _independent_proc(self, op: str, offset: int, nbytes: int):
         ctx = self.ctx
         pid = ctx.pid_base + self.rank
         start = self.engine.now
@@ -176,11 +174,11 @@ class MPIFile:
             result = FSResult(nbytes, 0, 0, 0, final.start, final_end,
                               success=False,
                               errors=("operation timed out",))
-        done.trigger(result)
+        return result
 
     # -- independent noncontiguous (data sieving) ---------------------------------
 
-    def read_regions(self, regions: list[Region]) -> Completion:
+    def read_regions(self, regions: list[Region]) -> Waitable:
         """Noncontiguous read; sieving per the open hints.
 
         One application-level trace record covers the whole call, sized
@@ -190,12 +188,10 @@ class MPIFile:
         validate_regions(regions)
         for offset, length in regions:
             self._check(offset, length)
-        done = self.engine.completion()
-        self.engine.spawn(self._regions_proc(regions, done),
-                          name=f"mpiio.sieve.r{self.rank}")
-        return done
+        return self.engine.spawn(self._regions_proc(regions),
+                                 name=f"mpiio.sieve.r{self.rank}")
 
-    def _regions_proc(self, regions: list[Region], done: Completion):
+    def _regions_proc(self, regions: list[Region]):
         ctx = self.ctx
         start = self.engine.now
         yield self.engine.timeout(ctx.call_overhead_s)
@@ -223,10 +219,10 @@ class MPIFile:
                                    file=self.file_name,
                                    offset=regions[0][0],
                                    start=start, end=end)
-        done.trigger(FSResult(useful, device_bytes, 0, 0, start, end,
-                              success=success))
+        return FSResult(useful, device_bytes, 0, 0, start, end,
+                        success=success)
 
-    def write_regions(self, regions: list[Region]) -> Completion:
+    def write_regions(self, regions: list[Region]) -> Waitable:
         """Noncontiguous write; sieving per the open hints.
 
         Sieved noncontiguous *writes* need read-modify-write: the
@@ -240,13 +236,10 @@ class MPIFile:
         validate_regions(regions)
         for offset, length in regions:
             self._check(offset, length)
-        done = self.engine.completion()
-        self.engine.spawn(self._write_regions_proc(regions, done),
-                          name=f"mpiio.wsieve.r{self.rank}")
-        return done
+        return self.engine.spawn(self._write_regions_proc(regions),
+                                 name=f"mpiio.wsieve.r{self.rank}")
 
-    def _write_regions_proc(self, regions: list[Region],
-                            done: Completion):
+    def _write_regions_proc(self, regions: list[Region]):
         ctx = self.ctx
         start = self.engine.now
         yield self.engine.timeout(ctx.call_overhead_s)
@@ -285,8 +278,8 @@ class MPIFile:
                                    op=WRITE, file=self.file_name,
                                    offset=regions[0][0],
                                    start=start, end=end)
-        done.trigger(FSResult(useful, device_bytes, 0, 0, start, end,
-                              success=success))
+        return FSResult(useful, device_bytes, 0, 0, start, end,
+                        success=success)
 
     # -- collective (two-phase) ------------------------------------------------------
 

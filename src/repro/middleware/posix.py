@@ -20,7 +20,7 @@ from repro.fs.localfs import FSResult
 from repro.middleware.retry import RetryPolicy, RetryStats, execute_attempts
 from repro.middleware.tracing import TraceRecorder
 from repro.sim.engine import Engine
-from repro.sim.events import Completion
+from repro.sim.events import Waitable
 from repro.util.rng import RngStream
 
 
@@ -65,7 +65,7 @@ class PosixFile:
     """One process's handle on one file.
 
     ``pread``/``pwrite`` are explicit-offset; ``read``/``write`` advance
-    a per-handle cursor, like the libc calls.  All return completions
+    a per-handle cursor, like the libc calls.  All return waitables
     that fire with the mount's :class:`FSResult` once the access (and
     its trace record) is done.
     """
@@ -88,29 +88,25 @@ class PosixFile:
                 f"{self.file_name!r} of size {self.size}"
             )
 
-    def pread(self, offset: int, nbytes: int) -> Completion:
+    def pread(self, offset: int, nbytes: int) -> Waitable:
         """Positional read of ``nbytes`` at ``offset``."""
         self._check(offset, nbytes)
-        done = self.engine.completion()
-        self.engine.spawn(self._io(READ, offset, nbytes, done),
-                          name=f"posix.pread.{self.pid}")
-        return done
+        return self.engine.spawn(self._io(READ, offset, nbytes),
+                                 name=f"posix.pread.{self.pid}")
 
-    def pwrite(self, offset: int, nbytes: int) -> Completion:
+    def pwrite(self, offset: int, nbytes: int) -> Waitable:
         """Positional write of ``nbytes`` at ``offset``."""
         self._check(offset, nbytes)
-        done = self.engine.completion()
-        self.engine.spawn(self._io(WRITE, offset, nbytes, done),
-                          name=f"posix.pwrite.{self.pid}")
-        return done
+        return self.engine.spawn(self._io(WRITE, offset, nbytes),
+                                 name=f"posix.pwrite.{self.pid}")
 
-    def read(self, nbytes: int) -> Completion:
+    def read(self, nbytes: int) -> Waitable:
         """Sequential read at the cursor; advances it."""
         done = self.pread(self.position, nbytes)
         self.position += nbytes
         return done
 
-    def write(self, nbytes: int) -> Completion:
+    def write(self, nbytes: int) -> Waitable:
         """Sequential write at the cursor; advances it."""
         done = self.pwrite(self.position, nbytes)
         self.position += nbytes
@@ -126,7 +122,7 @@ class PosixFile:
         """Invalidate the handle; further I/O raises."""
         self._closed = True
 
-    def _io(self, op: str, offset: int, nbytes: int, done: Completion):
+    def _io(self, op: str, offset: int, nbytes: int):
         lib = self.lib
         start = self.engine.now
         yield self.engine.timeout(lib.call_overhead_s)
@@ -165,4 +161,4 @@ class PosixFile:
             result = FSResult(nbytes, 0, 0, 0, final.start, final_end,
                               success=False,
                               errors=("operation timed out",))
-        done.trigger(result)
+        return result

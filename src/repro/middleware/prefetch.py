@@ -23,7 +23,7 @@ from repro.devices.base import READ
 from repro.errors import MiddlewareError
 from repro.fs.localfs import FSResult
 from repro.middleware.posix import PosixFile
-from repro.sim.events import Completion
+from repro.sim.events import Waitable
 from repro.util.units import GiB, MiB
 
 
@@ -62,20 +62,18 @@ class SequentialPrefetcher:
         self._buffered: tuple[int, int] | None = None
         # High-water mark of consumption inside the buffered window.
         self._consumed_to = 0
-        # In-flight prefetch: (start, end, completion), or None.
-        self._inflight: tuple[int, int, Completion] | None = None
+        # In-flight prefetch: (start, end, fetch process), or None.
+        self._inflight: tuple[int, int, Waitable] | None = None
         self.stats_prefetches = 0
         self.stats_buffered_hits = 0
         self.stats_wasted_bytes = 0
 
-    def pread(self, offset: int, nbytes: int) -> Completion:
+    def pread(self, offset: int, nbytes: int) -> Waitable:
         """Positional read with read-ahead; fires with an FSResult."""
-        done = self.engine.completion()
-        self.engine.spawn(self._read_proc(offset, nbytes, done),
-                          name=f"prefetch.read.{self.file.pid}")
-        return done
+        return self.engine.spawn(self._read_proc(offset, nbytes),
+                                 name=f"prefetch.read.{self.file.pid}")
 
-    def pwrite(self, offset: int, nbytes: int) -> Completion:
+    def pwrite(self, offset: int, nbytes: int) -> Waitable:
         """Write-through; drops any buffered window (coherence)."""
         self._drop_buffer(count_waste=True)
         return self.file.pwrite(offset, nbytes)
@@ -87,7 +85,7 @@ class SequentialPrefetcher:
             self.stats_wasted_bytes += max(0, end - self._consumed_to)
         self._buffered = None
 
-    def _read_proc(self, offset: int, nbytes: int, done: Completion):
+    def _read_proc(self, offset: int, nbytes: int):
         config = self.config
         file = self.file
         start_time = self.engine.now
@@ -134,18 +132,16 @@ class SequentialPrefetcher:
             if window_end > window_start:
                 self._launch_prefetch(window_start, window_end)
 
-        done.trigger(result)
+        return result
 
     def _launch_prefetch(self, window_start: int, window_end: int) -> None:
-        completion = self.engine.completion()
-        self._inflight = (window_start, window_end, completion)
-        self.stats_prefetches += 1
-        self.engine.spawn(
-            self._prefetch_proc(window_start, window_end, completion),
+        fetch = self.engine.spawn(
+            self._prefetch_proc(window_start, window_end),
             name=f"prefetch.fetch.{self.file.pid}")
+        self._inflight = (window_start, window_end, fetch)
+        self.stats_prefetches += 1
 
-    def _prefetch_proc(self, window_start: int, window_end: int,
-                       completion: Completion):
+    def _prefetch_proc(self, window_start: int, window_end: int):
         file = self.file
         nbytes = window_end - window_start
         # The fetch bypasses the app-record path: it is middleware
@@ -166,4 +162,4 @@ class SequentialPrefetcher:
             self._buffered = (window_start, window_end)
             self._consumed_to = window_start
         self._inflight = None
-        completion.trigger(result)
+        return result

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import Completion
+from repro.sim.events import Completion, Waitable
 from repro.sim.resources import Resource
 from repro.util.units import MiB
 
@@ -29,7 +29,7 @@ class TransferStats:
 class NetworkLink:
     """One direction of a network interface.
 
-    ``transmit(nbytes)`` returns a completion that fires when the last
+    ``transmit(nbytes)`` returns a waitable that fires when the last
     byte has left the link (serialisation + propagation).
     """
 
@@ -95,13 +95,11 @@ class NetworkLink:
             raise SimulationError(f"nbytes must be positive: {nbytes}")
         return nbytes / self.bandwidth
 
-    def transmit(self, nbytes: int) -> Completion:
-        """Queue a message; completion fires on delivery."""
-        done = self.engine.completion()
-        self.engine.spawn(self._send(nbytes, done), name=f"{self.name}.tx")
-        return done
+    def transmit(self, nbytes: int) -> Waitable:
+        """Queue a message; the waitable fires on delivery."""
+        return self.engine.spawn(self._send(nbytes), name=f"{self.name}.tx")
 
-    def _send(self, nbytes: int, done: Completion):
+    def _send(self, nbytes: int):
         grant = self._wire.acquire()
         yield grant
         # Holding the wire while down: followers queue behind us and
@@ -117,7 +115,7 @@ class NetworkLink:
         self.stats.total_busy_time += busy
         # Propagation happens after the wire is free (pipelining).
         yield self.engine.timeout(self.effective_latency_s)
-        done.trigger(nbytes)
+        return nbytes
 
     @property
     def queue_length(self) -> int:

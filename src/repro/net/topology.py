@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.errors import SimulationError
 from repro.net.link import NICPair
 from repro.sim.engine import Engine
-from repro.sim.events import Completion
+from repro.sim.events import Waitable
 from repro.sim.resources import TokenBucket
 from repro.util.units import MiB
 
@@ -91,7 +91,7 @@ class StarTopology:
         """All registered host names, in insertion order."""
         return list(self._nodes)
 
-    def send(self, src: str, dst: str, nbytes: int) -> Completion:
+    def send(self, src: str, dst: str, nbytes: int) -> Waitable:
         """Move ``nbytes`` from ``src`` to ``dst``; fires on delivery.
 
         A loopback send (``src == dst``) completes after a negligible
@@ -102,19 +102,15 @@ class StarTopology:
             raise SimulationError(f"nbytes must be positive: {nbytes}")
         source = self.node(src)
         target = self.node(dst)
-        done = self.engine.completion()
-        self.engine.spawn(self._transfer(source, target, nbytes, done),
-                          name=f"net.{src}->{dst}")
-        return done
+        return self.engine.spawn(self._transfer(source, target, nbytes),
+                                 name=f"net.{src}->{dst}")
 
-    def _transfer(self, source: NetNode, target: NetNode, nbytes: int,
-                  done: Completion):
+    def _transfer(self, source: NetNode, target: NetNode, nbytes: int):
         self.messages_sent += 1
         self.bytes_sent += nbytes
         if source is target:
             yield self.engine.timeout(0.0)
-            done.trigger(nbytes)
-            return
+            return nbytes
         fabric_claim = None
         if self._backplane is not None:
             # Oversubscription: the fabric claim proceeds concurrently
@@ -154,7 +150,7 @@ class StarTopology:
         if fabric_claim is not None:
             yield fabric_claim
         yield self.engine.timeout(source.nic.tx.effective_latency_s)
-        done.trigger(nbytes)
+        return nbytes
 
     def _claim_fabric(self, nbytes: int):
         # Messages larger than the burst claim capacity in instalments.

@@ -25,7 +25,7 @@ from repro.net.topology import StarTopology
 from repro.pfs.layout import StripeLayout
 from repro.pfs.server import IOServer
 from repro.sim.engine import Engine
-from repro.sim.events import Completion
+from repro.sim.events import Waitable
 from repro.sim.resources import Resource
 
 #: Size of a control message (request or ack) on the wire.
@@ -211,21 +211,19 @@ class ParallelFileSystem:
         self.metadata_ops += 1
 
     def create_async(self, client_node: str, file_name: str, size: int,
-                     layout: StripeLayout | None = None) -> Completion:
+                     layout: StripeLayout | None = None) -> Waitable:
         """Create a file *during* a run, paying the metadata cost.
 
         The MDS round trip plus one control message per layout server
         (object creation), as PVFS2 does.  The synchronous
         :meth:`create` stays free for pre-run setup.
         """
-        done = self.engine.completion()
-        self.engine.spawn(
-            self._create_proc(client_node, file_name, size, layout, done),
+        return self.engine.spawn(
+            self._create_proc(client_node, file_name, size, layout),
             name=f"pfs.create.{file_name}")
-        return done
 
     def _create_proc(self, client_node: str, file_name: str, size: int,
-                     layout: StripeLayout | None, done: Completion):
+                     layout: StripeLayout | None):
         start = self.engine.now
         yield from self._metadata_round_trip(client_node)
         created = self.create(file_name, size, layout)
@@ -239,19 +237,15 @@ class ParallelFileSystem:
                         CONTROL_MESSAGE_BYTES))
             if pending:
                 yield self.engine.all_of(pending)
-        done.trigger((created, start, self.engine.now))
+        return created, start, self.engine.now
 
-    def stat_async(self, client_node: str, file_name: str) -> Completion:
+    def stat_async(self, client_node: str, file_name: str) -> Waitable:
         """Look up file metadata during a run (one MDS round trip)."""
-        done = self.engine.completion()
-
         def proc():
             start = self.engine.now
             yield from self._metadata_round_trip(client_node)
-            size = self.size_of(file_name)
-            done.trigger((size, start, self.engine.now))
-        self.engine.spawn(proc(), name=f"pfs.stat.{file_name}")
-        return done
+            return self.size_of(file_name), start, self.engine.now
+        return self.engine.spawn(proc(), name=f"pfs.stat.{file_name}")
 
     def client(self, node_name: str) -> "PFSClient":
         """A client view bound to one network node."""
@@ -261,7 +255,7 @@ class ParallelFileSystem:
     # -- data path -------------------------------------------------------------
 
     def _io(self, client_node: str, op: str, file_name: str, offset: int,
-            nbytes: int) -> Completion:
+            nbytes: int) -> Waitable:
         layout = self.layout_of(file_name)
         size = self._sizes[file_name]
         if offset < 0 or nbytes <= 0 or offset + nbytes > size:
@@ -269,17 +263,14 @@ class ParallelFileSystem:
                 f"bad range [{offset}, {offset + nbytes}) for "
                 f"{file_name!r} of size {size}"
             )
-        done = self.engine.completion()
-        self.engine.spawn(
+        return self.engine.spawn(
             self._io_proc(client_node, op, file_name, layout, offset,
-                          nbytes, done),
+                          nbytes),
             name=f"pfs.{op}.{file_name}",
         )
-        return done
 
     def _io_proc(self, client_node: str, op: str, file_name: str,
-                 layout: StripeLayout, offset: int, nbytes: int,
-                 done: Completion):
+                 layout: StripeLayout, offset: int, nbytes: int):
         start = self.engine.now
         yield self.engine.timeout(self.client_overhead_s)
         parts = layout.server_requests(offset, nbytes)
@@ -301,13 +292,13 @@ class ParallelFileSystem:
         else:
             self.stats.writes += 1
             self.stats.bytes_written += nbytes
-        done.trigger(FSResult(
+        return FSResult(
             nbytes, device_bytes,
             cache_hit_pages=sum(r.cache_hit_pages for r in results),
             cache_miss_pages=sum(r.cache_miss_pages for r in results),
             start=start, end=self.engine.now,
             success=not errors, errors=tuple(errors),
-        ))
+        )
 
     def _server_io(self, client_node: str, op: str, file_name: str, part):
         # The replica chain is walked only with failover on; each hop is
@@ -363,21 +354,21 @@ class PFSClient:
         return self.pfs.size_of(file_name)
 
     def create_async(self, file_name: str, size: int,
-                     layout: StripeLayout | None = None) -> Completion:
+                     layout: StripeLayout | None = None) -> Waitable:
         """Create with metadata costs; fires with (layout, start, end)."""
         return self.pfs.create_async(self.node_name, file_name, size,
                                      layout)
 
-    def stat_async(self, file_name: str) -> Completion:
+    def stat_async(self, file_name: str) -> Waitable:
         """Metadata lookup; fires with (size, start, end)."""
         return self.pfs.stat_async(self.node_name, file_name)
 
-    def read(self, file_name: str, offset: int, nbytes: int) -> Completion:
-        """Read; completion fires with an FSResult."""
+    def read(self, file_name: str, offset: int, nbytes: int) -> Waitable:
+        """Read; the waitable fires with an FSResult."""
         return self.pfs._io(self.node_name, READ, file_name, offset, nbytes)
 
-    def write(self, file_name: str, offset: int, nbytes: int) -> Completion:
-        """Write; completion fires with an FSResult."""
+    def write(self, file_name: str, offset: int, nbytes: int) -> Waitable:
+        """Write; the waitable fires with an FSResult."""
         return self.pfs._io(self.node_name, WRITE, file_name, offset, nbytes)
 
     def drop_caches(self) -> int:

@@ -14,7 +14,7 @@ from repro.devices.base import BlockDevice, READ, WRITE
 from repro.errors import FileSystemError
 from repro.fs.localfs import FSResult, LocalFileSystem
 from repro.sim.engine import Engine
-from repro.sim.events import Completion
+from repro.sim.events import Waitable
 from repro.sim.resources import Resource
 
 
@@ -97,18 +97,17 @@ class IOServer:
         return self.storage.exists(object_name)
 
     def handle(self, op: str, object_name: str, offset: int,
-               nbytes: int) -> Completion:
-        """Serve one request; completion fires with the storage FSResult."""
+               nbytes: int) -> Waitable:
+        """Serve one request; the waitable fires with the storage
+        FSResult."""
         if op not in (READ, WRITE):
             raise FileSystemError(f"unknown op {op!r}")
-        done = self.engine.completion()
-        self.engine.spawn(self._handle_proc(op, object_name, offset,
-                                            nbytes, done),
-                          name=f"{self.name}.handle")
-        return done
+        return self.engine.spawn(
+            self._handle_proc(op, object_name, offset, nbytes),
+            name=f"{self.name}.handle")
 
     def _handle_proc(self, op: str, object_name: str, offset: int,
-                     nbytes: int, done: Completion):
+                     nbytes: int):
         start = self.engine.now
         if not self.available:
             # Fail fast: a connection refused costs one overhead, not a
@@ -116,10 +115,9 @@ class IOServer:
             # may fail over to a replica server.
             yield self.engine.timeout(self.request_overhead_s)
             self.requests_failed += 1
-            done.trigger(FSResult(
+            return FSResult(
                 nbytes, 0, 0, 0, start, self.engine.now, success=False,
-                errors=(f"server {self.name} unavailable",)))
-            return
+                errors=(f"server {self.name} unavailable",))
         grant = self._threads.acquire()
         yield grant
         try:
@@ -136,7 +134,7 @@ class IOServer:
         self.requests_handled += 1
         if not result.success:
             self.requests_failed += 1
-        done.trigger(result)
+        return result
 
     @property
     def queue_length(self) -> int:

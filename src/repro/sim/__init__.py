@@ -1,7 +1,8 @@
 """Discrete-event simulation engine.
 
 A small, dependency-free, SimPy-style kernel: generator-based processes
-scheduled on an event heap with deterministic FIFO tie-breaking.  The whole
+scheduled in ``(time, seq)`` order (deterministic FIFO tie-breaking) on a
+heap plus a ready queue for events due now.  The whole
 parallel-I/O stack (devices, network, file systems, middleware) is built as
 processes on this engine, which is what lets BPS's overlap semantics be
 exercised with exactly-controlled timelines.

@@ -1,19 +1,37 @@
-"""The event loop: a time-ordered heap with FIFO tie-breaking.
+"""The event loop: a time-ordered heap plus a FIFO ready queue.
 
 Determinism contract: two events scheduled for the same simulated time run
 in the order they were scheduled.  This makes every simulation replayable
 bit-for-bit from its seed, which the experiment harness relies on (the
 paper averages 5 runs; we vary only the seed between repetitions).
+
+Ordering invariant: events run in ``(time, seq)`` order, ``seq`` being the
+order of the :meth:`Engine.call_later` calls that scheduled them.  Two
+queues keep that order:
+
+- an event due later than ``now`` goes on a heap keyed ``(time, seq)``;
+- an event due at ``now`` (delay 0, or a delay too small to move the
+  clock) goes on a FIFO ready queue, behind what is already there.
+
+When the ready queue is empty, the loop advances the clock to the heap's
+earliest time and moves every heap entry due then onto the ready queue,
+in ``seq`` order.  Each of those entries was pushed before the clock
+reached that time, so it precedes anything scheduled once the clock is
+there — which is exactly what the ready queue appends behind it.  The
+order is therefore the one a single ``(time, seq)`` heap gives, without a
+heap push and pop for the events due now.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from typing import Any, Callable, Generator
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.events import Completion, Timeout, AllOf, AnyOf
+from repro.sim.process import Process
 
 
 class Engine:
@@ -32,6 +50,7 @@ class Engine:
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
+        self._ready: deque[tuple[Callable[..., None], tuple]] = deque()
         self._seq: int = 0
         self._live_processes: int = 0
         self._running = False
@@ -41,11 +60,15 @@ class Engine:
     def call_later(self, delay: float, callback: Callable[..., None],
                    *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0 or math.isnan(delay):
+        if not delay >= 0:  # negative or NaN
             raise SimulationError(f"invalid delay: {delay}")
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq,
-                                    callback, args))
+        now = self.now
+        when = now + delay
+        if when == now:
+            self._ready.append((callback, args))
+        else:
+            self._seq += 1
+            heapq.heappush(self._heap, (when, self._seq, callback, args))
 
     def call_at(self, when: float, callback: Callable[..., None],
                 *args: Any) -> None:
@@ -57,7 +80,12 @@ class Engine:
         self.call_later(when - self.now, callback, *args)
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> None:
-        """Run ``callback(*args)`` at the current time, after queued work."""
+        """Run ``callback(*args)`` at the current time, after queued work.
+
+        The kernel's own hot paths (waitables firing, resource grants,
+        process start) call ``call_later(0.0, ...)`` directly: the same
+        event, one Python call fewer.
+        """
         self.call_later(0.0, callback, *args)
 
     # -- waitable factories -------------------------------------------------
@@ -78,37 +106,61 @@ class Engine:
         """Waitable that fires when the first child fires."""
         return AnyOf(self, children)
 
-    def spawn(self, generator: Generator, name: str = "") -> "Process":
+    def spawn(self, generator: Generator, name: str = "") -> Process:
         """Start a new process from a generator; returns the Process."""
-        from repro.sim.process import Process  # local: avoid import cycle
         return Process(self, generator, name=name)
 
     # -- execution ----------------------------------------------------------
 
+    def _advance_clock(self, until: float) -> bool:
+        """Advance the clock to the heap's earliest time and move every
+        entry due then onto the (empty) ready queue.
+
+        Returns False, clamping the clock forward to ``until`` (never
+        back), when that time lies beyond ``until``.  An entry
+        timestamped before the current time raises
+        :class:`SimulationError`: time never goes backwards.
+        """
+        heap = self._heap
+        when = heap[0][0]
+        if when > until:
+            self.now = max(self.now, until)
+            return False
+        if when < self.now:
+            raise SimulationError(
+                f"time went backwards: event at {when} < now={self.now}"
+            )
+        self.now = when
+        append = self._ready.append
+        while heap and heap[0][0] == when:
+            entry = heapq.heappop(heap)
+            append((entry[2], entry[3]))
+        return True
+
     def run(self, until: float = math.inf, *,
             detect_deadlock: bool = True) -> None:
-        """Run events until the heap drains or ``until`` is reached.
+        """Run events until both queues drain or ``until`` is reached.
 
         With ``detect_deadlock`` (default), raises :class:`DeadlockError`
-        if the heap drains while spawned processes are still suspended —
+        if the queues drain while spawned processes are still suspended —
         that means somebody waits on a completion nobody will trigger.
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run)")
         self._running = True
         try:
-            while self._heap:
-                when, _seq, callback, args = self._heap[0]
-                if when > until:
-                    # Clamp monotonically: a second run() with a smaller
-                    # `until` must not move time backwards.
-                    self.now = max(self.now, until)
+            ready = self._ready
+            if ready and self.now > until:  # an earlier run went further
+                return
+            popleft = ready.popleft
+            while True:
+                while ready:
+                    callback, args = popleft()
+                    callback(*args)
+                if not self._heap:
+                    break
+                if not self._advance_clock(until):
                     return
-                heapq.heappop(self._heap)
-                if when < self.now:  # pragma: no cover - heap invariant
-                    raise SimulationError("time went backwards")
-                self.now = when
-                callback(*args)
             if detect_deadlock and self._live_processes > 0:
                 raise DeadlockError(
                     f"event queue drained with {self._live_processes} "
@@ -126,26 +178,19 @@ class Engine:
         clock), and an event beyond ``until`` is left queued (the clock
         is clamped forward to ``until``, never back).
         """
-        if not self._heap:
+        if self._ready:
+            if self.now > until:
+                return False
+        elif not self._heap or not self._advance_clock(until):
             return False
-        when, _seq, callback, args = self._heap[0]
-        if when > until:
-            if math.isfinite(until):
-                self.now = max(self.now, until)
-            return False
-        heapq.heappop(self._heap)
-        if when < self.now:
-            raise SimulationError(
-                f"time went backwards: event at {when} < now={self.now}"
-            )
-        self.now = when
+        callback, args = self._ready.popleft()
         callback(*args)
         return True
 
     @property
     def pending_events(self) -> int:
         """Number of events currently queued."""
-        return len(self._heap)
+        return len(self._heap) + len(self._ready)
 
     @property
     def live_processes(self) -> int:
@@ -154,6 +199,6 @@ class Engine:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<Engine now={self.now:.9g} pending={len(self._heap)} "
+            f"<Engine now={self.now:.9g} pending={self.pending_events} "
             f"live={self._live_processes}>"
         )

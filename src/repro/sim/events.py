@@ -52,7 +52,7 @@ class Waitable:
         determinism.
         """
         if self._fired:
-            self.engine.call_soon(callback, self)
+            self.engine.call_later(0.0, callback, self)
         else:
             assert self._callbacks is not None
             self._callbacks.append(callback)
@@ -67,7 +67,7 @@ class Waitable:
         callbacks, self._callbacks = self._callbacks, None
         assert callbacks is not None
         for cb in callbacks:
-            self.engine.call_soon(cb, self)
+            self.engine.call_later(0.0, cb, self)
 
     def result(self) -> Any:
         """The fired value; raises the stored exception if one was set."""

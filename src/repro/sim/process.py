@@ -16,11 +16,13 @@ process itself is a waitable, so processes compose:
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import SimulationError
-from repro.sim.engine import Engine
 from repro.sim.events import Waitable
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.engine import Engine
 
 
 class ProcessKilled(Exception):
@@ -37,7 +39,7 @@ class Process(Waitable):
 
     _anon_counter = 0
 
-    def __init__(self, engine: Engine, generator: Generator,
+    def __init__(self, engine: "Engine", generator: Generator,
                  name: str = "") -> None:
         if not hasattr(generator, "send"):
             raise SimulationError(
@@ -54,7 +56,7 @@ class Process(Waitable):
         self._finished = False
         self._waiting_on: Waitable | None = None
         engine._live_processes += 1
-        engine.call_soon(self._start)
+        engine.call_later(0.0, self._start)
 
     @property
     def finished(self) -> bool:
@@ -67,27 +69,27 @@ class Process(Waitable):
         if self._finished:  # killed before first step
             return
         self._started = True
-        self._advance(lambda: self.generator.send(None))
+        self._advance(self.generator.send, None)
 
     def _on_waitable(self, waitable: Waitable) -> None:
-        if self._finished:
+        # Only what the process waits on now may wake it: a kill that was
+        # caught leaves the waitable from before the kill subscribed.
+        if waitable is not self._waiting_on:
             return
         self._waiting_on = None
-        if waitable.exception is not None:
-            exc = waitable.exception
-            self._advance(lambda: self.generator.throw(exc))
+        exc = waitable.exception
+        if exc is not None:
+            self._advance(self.generator.throw, exc)
         else:
-            value = waitable.value
-            self._advance(lambda: self.generator.send(value))
+            self._advance(self.generator.send, waitable.value)
 
-    def _advance(self, step) -> None:
+    def _advance(self, step, arg) -> None:
+        """Resume the generator with ``step(arg)`` (its ``send`` or
+        ``throw``) and wait on whatever it yields next."""
         try:
-            yielded = step()
+            yielded = step(arg)
         except StopIteration as stop:
             self._complete(value=stop.value)
-            return
-        except ProcessKilled as exc:
-            self._complete(exception=exc)
             return
         except BaseException as exc:
             self._complete(exception=exc)
@@ -137,7 +139,7 @@ class Process(Waitable):
         if self._finished:
             return
         self._waiting_on = None
-        self._advance(lambda: self.generator.throw(exc))
+        self._advance(self.generator.throw, exc)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (

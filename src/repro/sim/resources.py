@@ -43,7 +43,6 @@ class Resource:
         # Cumulative statistics for utilization analysis.
         self.total_acquisitions = 0
         self.total_wait_time = 0.0
-        self._acquire_times: dict[int, float] = {}
 
     @property
     def in_use(self) -> int:
@@ -63,7 +62,7 @@ class Resource:
         if self._in_use < self.capacity:
             self._in_use += 1
             self.total_acquisitions += 1
-            self.engine.call_soon(grant._fire, self)
+            self.engine.call_later(0.0, grant._fire, self)
         else:
             def on_grant(_c: Completion, _t: float = requested_at) -> None:
                 self.total_wait_time += self.engine.now - _t
@@ -110,7 +109,7 @@ class PriorityResource(Resource):
         if self._in_use < self.capacity and not self._pqueue:
             self._in_use += 1
             self.total_acquisitions += 1
-            self.engine.call_soon(grant._fire, self)
+            self.engine.call_later(0.0, grant._fire, self)
         else:
             def on_grant(_c: Completion, _t: float = requested_at) -> None:
                 self.total_wait_time += self.engine.now - _t

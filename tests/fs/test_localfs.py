@@ -106,6 +106,26 @@ class TestReadPath:
         run_io(engine, fs.read("f", 100, 200))
         assert fs.stats.read_amplification == pytest.approx(4096 / 200)
 
+    def test_error_inside_a_read_reaches_its_waiter(self, engine,
+                                                    monkeypatch):
+        # A read hands back its own process, so an exception raised
+        # while it is served fails the process that waits on the read.
+        fs, _dev = make_fs(engine)
+        fs.create("f", 1 * MiB)
+
+        def broken_issue(op, extents):
+            raise RuntimeError("device queue corrupted")
+            yield  # pragma: no cover
+
+        monkeypatch.setattr(fs, "_issue", broken_issue)
+
+        def reader(eng):
+            return (yield fs.read("f", 0, 4096))
+        process = engine.spawn(reader(engine))
+        engine.run()
+        with pytest.raises(RuntimeError, match="device queue corrupted"):
+            process.result()
+
 
 class TestReadAhead:
     def test_readahead_fetches_extra_pages(self, engine):

@@ -40,6 +40,22 @@ class TestScheduling:
         engine.run()
         assert times == [1.0]
 
+    def test_delay_absorbed_by_the_clock_keeps_its_fifo_place(self, engine):
+        # At t=1e9 a 1e-9 delay does not move the clock: the event is due
+        # now, behind the entry pushed earlier for 1e9 and ahead of a
+        # later call_soon, exactly as on a single (time, seq) heap.
+        order = []
+
+        def at_1e9():
+            order.append("first")
+            engine.call_later(1e-9, order.append, "a")
+            engine.call_soon(order.append, "b")
+        engine.call_later(1e9, at_1e9)
+        engine.call_later(1e9, order.append, "pushed earlier")
+        engine.run()
+        assert order == ["first", "pushed earlier", "a", "b"]
+        assert engine.now == 1e9
+
     def test_call_at_absolute_time(self, engine):
         times = []
         engine.call_at(3.0, lambda: times.append(engine.now))

@@ -137,6 +137,20 @@ class TestKill:
         assert cleaned == [2.0]
         assert process.result() == "cleaned"
 
+    def test_caught_kill_is_not_woken_by_the_old_waitable(self, engine):
+        # The 5 s timeout the process waited on before the kill still
+        # fires at t=5; it must not resume the 100 s sleep it moved on to.
+        def sleeper(eng):
+            try:
+                yield eng.timeout(5.0)
+            except ProcessKilled:
+                yield eng.timeout(100.0)
+            return eng.now
+        process = engine.spawn(sleeper(engine))
+        engine.call_later(1.0, process.kill)
+        engine.run()
+        assert process.result() == 101.0
+
     def test_kill_before_start(self, engine):
         def proc(eng):
             yield eng.timeout(1.0)
