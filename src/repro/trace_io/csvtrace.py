@@ -19,7 +19,7 @@ from typing import IO
 
 from repro.core.records import IORecord, TraceCollection
 from repro.errors import AnalysisError, TraceFormatError
-from repro.trace_io.policy import ErrorPolicy, SalvageSession
+from repro.trace_io.policy import ErrorPolicy, SalvageSession, check_storable
 
 REQUIRED_COLUMNS = ("pid", "op", "nbytes", "start", "end")
 OPTIONAL_COLUMNS = ("file", "offset", "success", "retries")
@@ -75,6 +75,7 @@ def _read(handle: IO[str], name: str,
                 if row.get("success") else True,
                 retries=int(row["retries"]) if row.get("retries") else 0,
             )
+            check_storable(record)
         except (TraceFormatError, KeyError, ValueError,
                 AnalysisError) as exc:
             session.bad(line_number, f"bad record {row!r}: {exc}",

@@ -22,15 +22,19 @@ through a :class:`SalvageSession`:
 The :class:`ErrorPolicy` instance passed to a reader receives the
 read's :class:`QuarantineReport` as ``policy.report`` — the CLI prints
 it after ``bps analyze --on-error salvage``.
+
+:func:`check_storable` is the record rule the line readers share: a
+record the trace columns cannot hold is malformed input like any other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
-from repro.errors import SalvageError, TraceFormatError
+from repro.errors import AnalysisError, SalvageError, TraceFormatError
 
 STRICT = "strict"
 SALVAGE = "salvage"
@@ -42,6 +46,41 @@ DEFAULT_MAX_ERROR_RATIO = 0.25
 #: Incremental budget checks start once this many data lines were seen
 #: (small prefixes are noisy; tiny files are judged exactly at EOF).
 _FAST_FAIL_MIN_LINES = 50
+
+#: Bounds of the int64 and int32 trace columns
+#: (:class:`~repro.core.records.TraceCollection`).
+_INT64, _INT32 = 1 << 63, 1 << 31
+_INF = math.inf
+
+
+def check_storable(record) -> None:
+    """Reject a record the trace columns cannot hold.
+
+    A NaN or infinite timestamp poisons every union and window it
+    touches, and an integer outside its column's dtype overflows when
+    the rows are consolidated.  Raises
+    :class:`~repro.errors.AnalysisError`, which the readers report as
+    ``bad record: ...`` like the record's own checks.
+    """
+    # One expression for the common case: this runs once per line.
+    # With the record's own ``end >= start`` and non-negative sizes and
+    # retries, it is false for every NaN or infinite timestamp and every
+    # integer out of range.
+    if -_INF < record.start and record.end < _INF \
+            and -_INT64 <= record.pid < _INT64 and record.nbytes < _INT64 \
+            and -_INT64 <= record.offset < _INT64 \
+            and record.retries < _INT32:
+        return
+    if not (math.isfinite(record.start) and math.isfinite(record.end)):
+        raise AnalysisError(
+            f"non-finite timestamps [{record.start}, {record.end}]")
+    for name, limit, dtype in (("pid", _INT64, "int64"),
+                               ("nbytes", _INT64, "int64"),
+                               ("offset", _INT64, "int64"),
+                               ("retries", _INT32, "int32")):
+        value = getattr(record, name)
+        if not -limit <= value < limit:
+            raise AnalysisError(f"{name} {value} does not fit in {dtype}")
 
 
 @dataclass(frozen=True)
@@ -149,10 +188,10 @@ class SalvageSession:
     def salvage(self) -> bool:
         return self.policy.salvage
 
-    def kept(self) -> None:
-        """One healthy record ingested."""
-        self.report.lines_seen += 1
-        self.report.records_kept += 1
+    def kept(self, count: int = 1) -> None:
+        """``count`` healthy records ingested (one line each)."""
+        self.report.lines_seen += count
+        self.report.records_kept += count
 
     def bad(self, line_number: int, reason: str, text: str = "") -> None:
         """One malformed input: raise (strict) or quarantine (salvage)."""

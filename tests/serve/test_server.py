@@ -440,12 +440,12 @@ class TestHttpSurface:
 
 
 class TestPoisonRecord:
-    """A record that decodes but has NaN timestamps must be refused at
-    its own line: the tenant is quarantined there, what it admitted
-    before settles normally, and nothing it leaves behind breaks the
-    reads of the tenant or its neighbours."""
+    """A record with NaN timestamps no trace column can hold: it must be
+    refused at its own line as malformed input, the tenant must settle
+    everything else it was sent, and nothing it leaves behind may break
+    the reads of the tenant or its neighbours."""
 
-    def test_nan_record_quarantines_at_its_line(self):
+    def test_nan_record_is_a_bad_line_at_its_line(self):
         good = steady_records(60)
         neighbour = steady_records(40, pid=3)
         nan_line = (b'{"pid": 0, "op": "read", "nbytes": 1, '
@@ -463,12 +463,9 @@ class TestPoisonRecord:
                 await stream_records(writer, good)
                 writer.write(nan_line + record_json(after).encode())
                 await writer.drain()
-                while True:
-                    reply = json.loads(await reader.readline())
-                    if reply["type"] != "ack":
-                        break
-                writer.close()
                 roster = await http_request(server, "GET", "/tenants")
+                reply = await end_stream(reader, writer)
+                writer.close()
                 detail = await http_request(server, "GET",
                                             "/tenants/poisoned")
                 ended = await end_stream(n_reader, n_writer)
@@ -478,25 +475,26 @@ class TestPoisonRecord:
                 await server.drain()
 
         server, reply, roster, detail, ended = run_async(scenario())
-        assert reply["type"] == "error"
-        assert reply["state"] == QUARANTINED
-        assert "non-finite" in reply["error"]
-
+        kept = [*good, after]
+        assert reply["type"] == "result"
         poisoned = server.registry.tenants["poisoned"]
-        assert poisoned.records_admitted == len(good)
-        assert poisoned.result is not None
+        assert poisoned.state == DRAINED
+        [entry] = poisoned.quarantine_report.entries
+        assert entry.line_number == len(good) + 1
+        assert entry.reason.startswith(
+            "bad record: non-finite timestamps [nan, nan]")
+        assert poisoned.records_admitted == len(kept)
         final = poisoned.result.metrics
-        batch = compute_metrics(TraceCollection(good),
+        batch = compute_metrics(TraceCollection(kept),
                                 exec_time=final.exec_time)
-        assert final.app_ops == len(good)
+        assert final.app_ops == len(kept)
         assert final.bps == batch.bps
         assert final.union_io_time == batch.union_io_time
 
         assert roster[0] == 200
         listed = {t["tenant"]: t for t in json.loads(roster[1])["tenants"]}
         assert set(listed) == {"neighbour", "poisoned"}
-        assert listed["poisoned"]["records"] == len(good)
-        assert listed["poisoned"]["final"]["ops"] == len(good)
         assert detail[0] == 200
-        assert json.loads(detail[1])["state"] == QUARANTINED
+        assert json.loads(detail[1])["state"] == DRAINED
+        assert reply["final"]["ops"] == len(kept)
         assert ended["final"]["ops"] == len(neighbour)

@@ -134,6 +134,26 @@ class TestSalvage:
         assert result.metrics.app_ops == len(records)
         assert tenant.quarantine_report.skipped == 9
 
+    @pytest.mark.parametrize("fields", [
+        {"start": float("nan")}, {"end": float("inf")}, {"retries": 2**32},
+    ], ids=["nan-start", "infinite-end", "retries-2**32"])
+    def test_unstorable_record_is_a_bad_line(self, fields):
+        records = steady_records(n=60)
+        tenant = make_tenant(max_error_ratio=0.25)
+        for record in records[:30]:
+            assert tenant.feed_record(record).kind == "ok"
+        line = json.dumps({**json.loads(record_json(records[30])),
+                           **fields})
+        out = tenant.feed_line(line)
+        assert out.kind == "bad-line"
+        assert out.reason.startswith("bad record: ")
+        assert tenant.state == ACTIVE
+        for record in records[30:]:
+            assert tenant.feed_record(record).kind == "ok"
+        result = tenant.end()
+        assert tenant.state == DRAINED
+        assert result.metrics.app_ops == 60
+
     def test_strict_mode_quarantines_on_first_bad_line(self):
         tenant = make_tenant(error_mode="strict")
         out = tenant.feed_line("nonsense")

@@ -146,6 +146,99 @@ class TestCsvSalvage:
             read_csv_trace(io.StringIO(text))
 
 
+def record_line(**fields):
+    """A JSONL record line; ``fields`` replace those of a valid record."""
+    return json.dumps({"pid": 0, "op": "read", "nbytes": 4096,
+                       "start": 0.5, "end": 0.75, **fields})
+
+
+#: Fields no trace column can hold, and how the reason names them.
+UNSTORABLE = {
+    "nan-start": ({"start": float("nan")},
+                  "non-finite timestamps [nan, 0.75]"),
+    "nan-end": ({"end": float("nan")}, "non-finite timestamps [0.5, nan]"),
+    "infinite-end": ({"end": float("inf")},
+                     "non-finite timestamps [0.5, inf]"),
+    "retries-2**32": ({"retries": 2**32},
+                      "retries 4294967296 does not fit in int32"),
+    "pid-2**64": ({"pid": 2**64},
+                  "pid 18446744073709551616 does not fit in int64"),
+    "offset-below-int64": ({"offset": -2**63 - 1},
+                           "offset -9223372036854775809 does not fit"),
+}
+
+
+class TestUnstorableRecords:
+    """A record the trace columns cannot hold is one bad line, not a
+    failed run."""
+
+    @staticmethod
+    def jsonl_with(fields, tmp_path):
+        lines = [record_line(start=i, end=i + 0.5) for i in range(100)]
+        lines.insert(40, record_line(**fields))
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("fields, reason", UNSTORABLE.values(),
+                             ids=UNSTORABLE)
+    def test_jsonl_salvage_quarantines_the_line(self, tmp_path, fields,
+                                                reason):
+        policy = ErrorPolicy("salvage")
+        trace = read_trace(str(self.jsonl_with(fields, tmp_path)),
+                           errors=policy)
+        [entry] = policy.report.entries
+        assert entry.line_number == 41
+        assert entry.reason.startswith(f"bad record: {reason}")
+        assert compute_metrics(trace, exec_time=100.0).app_ops == 100
+
+    @pytest.mark.parametrize("fields, reason", UNSTORABLE.values(),
+                             ids=UNSTORABLE)
+    def test_jsonl_strict_names_file_and_line(self, tmp_path, fields,
+                                              reason):
+        path = self.jsonl_with(fields, tmp_path)
+        with pytest.raises(TraceFormatError) as caught:
+            read_jsonl_trace(path)
+        assert str(caught.value).startswith(
+            f"{path}:41: bad record: {reason}")
+
+    @pytest.mark.parametrize("fields, reason", [
+        ({"start": 10**400}, "int too large to convert to float"),
+        ({"nbytes": float("inf")}, "cannot convert float infinity"),
+    ], ids=["huge-int-start", "infinite-nbytes"])
+    def test_jsonl_overflow_is_a_bad_record(self, fields, reason):
+        policy = ErrorPolicy("salvage")
+        text = "\n".join([record_line(**fields)] + [record_line()] * 9)
+        read_jsonl_trace(io.StringIO(text), errors=policy)
+        [entry] = policy.report.entries
+        assert entry.line_number == 1
+        assert entry.reason.startswith(f"bad record: {reason}")
+
+    @pytest.mark.parametrize("row, reason", [
+        ("0,read,4096,nan,0.75,0", "non-finite timestamps [nan, 0.75]"),
+        ("0,read,4096,0.5,inf,0", "non-finite timestamps [0.5, inf]"),
+        ("0,read,4096,0.5,0.75,4294967296",
+         "retries 4294967296 does not fit in int32"),
+        ("18446744073709551616,read,4096,0.5,0.75,0",
+         "pid 18446744073709551616 does not fit in int64"),
+    ], ids=["nan-start", "infinite-end", "retries-2**32", "pid-2**64"])
+    def test_csv_salvage_and_strict(self, tmp_path, row, reason):
+        rows = [f"{i % 2},write,512,{i}.0,{i}.5,0" for i in range(100)]
+        rows.insert(40, row)
+        path = tmp_path / "trace.csv"
+        path.write_text("pid,op,nbytes,start,end,retries\n"
+                        + "\n".join(rows) + "\n")
+        policy = ErrorPolicy("salvage")
+        trace = read_csv_trace(path, errors=policy)
+        [entry] = policy.report.entries
+        assert entry.line_number == 42
+        assert entry.reason.startswith("bad record {")
+        assert entry.reason.endswith(f": {reason}")
+        assert compute_metrics(trace, exec_time=100.0).app_ops == 100
+        with pytest.raises(TraceFormatError, match=f"{path}:42: bad record"):
+            read_csv_trace(path)
+
+
 class TestNoRecordsContext:
     def test_jsonl_error_names_file_and_line_count(self):
         with pytest.raises(TraceFormatError,
