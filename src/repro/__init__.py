@@ -28,85 +28,48 @@ Quick taste::
     print(measurement.metrics().bps)
 """
 
-from repro.core import (
-    IORecord,
-    TraceCollection,
-    MetricSet,
-    bps,
-    iops,
-    bandwidth,
-    arpt,
-    union_io_time,
-    union_time,
-    union_time_paper,
-    compute_metrics,
-    EXPECTED_DIRECTIONS,
-    normalized_cc,
-    correlation_table,
-    RunMeasurement,
-    SweepAnalysis,
-)
-from repro.faults import FaultEvent, FaultPlan, random_fault_plan
-from repro.live import (
-    BpsAnomalyDetector,
-    LiveTap,
-    MetricStream,
-    StreamingUnion,
-    watch_trace,
-)
-from repro.middleware import RetryPolicy
-from repro.system import System, SystemConfig, build_system
-from repro.workloads import (
-    HotSpotWorkload,
-    IOzoneWorkload,
-    IORWorkload,
-    HpioWorkload,
-    RandomAccessWorkload,
-    MixedReadWriteWorkload,
-    ReplayWorkload,
-    ReplayOp,
-)
-from repro.errors import ReproError
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "IORecord",
-    "TraceCollection",
-    "MetricSet",
-    "bps",
-    "iops",
-    "bandwidth",
-    "arpt",
-    "union_io_time",
-    "union_time",
-    "union_time_paper",
-    "compute_metrics",
-    "EXPECTED_DIRECTIONS",
-    "normalized_cc",
-    "correlation_table",
-    "RunMeasurement",
-    "SweepAnalysis",
-    "System",
-    "SystemConfig",
-    "build_system",
-    "FaultEvent",
-    "FaultPlan",
-    "random_fault_plan",
-    "StreamingUnion",
-    "MetricStream",
-    "LiveTap",
-    "BpsAnomalyDetector",
-    "watch_trace",
-    "RetryPolicy",
-    "HotSpotWorkload",
-    "IOzoneWorkload",
-    "IORWorkload",
-    "HpioWorkload",
-    "RandomAccessWorkload",
-    "MixedReadWriteWorkload",
-    "ReplayWorkload",
-    "ReplayOp",
-    "ReproError",
-    "__version__",
-]
+#: Every public name and the module it is imported from on first use
+#: (PEP 562), so ``import repro.trace_io`` does not load the simulator.
+_EXPORTS = {
+    **dict.fromkeys((
+        "IORecord", "TraceCollection", "MetricSet", "bps", "iops",
+        "bandwidth", "arpt", "union_io_time", "union_time",
+        "union_time_paper", "compute_metrics", "EXPECTED_DIRECTIONS",
+        "normalized_cc", "correlation_table", "RunMeasurement",
+        "SweepAnalysis"), "repro.core"),
+    **dict.fromkeys(("System", "SystemConfig", "build_system"),
+                    "repro.system"),
+    **dict.fromkeys(("FaultEvent", "FaultPlan", "random_fault_plan"),
+                    "repro.faults"),
+    **dict.fromkeys(("StreamingUnion", "MetricStream", "LiveTap",
+                     "BpsAnomalyDetector", "watch_trace"), "repro.live"),
+    "RetryPolicy": "repro.middleware",
+    **dict.fromkeys((
+        "HotSpotWorkload", "IOzoneWorkload", "IORWorkload",
+        "HpioWorkload", "RandomAccessWorkload", "MixedReadWriteWorkload",
+        "ReplayWorkload", "ReplayOp"), "repro.workloads"),
+    "ReproError": "repro.errors",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def _lazy_exports(namespace: dict, exports: dict[str, str]):
+    """A package ``__getattr__`` (PEP 562) that imports each name of
+    ``exports`` from its module on first use and caches it in
+    ``namespace``, the package's ``globals()``."""
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(f"module {namespace['__name__']!r} "
+                                 f"has no attribute {name!r}")
+        value = getattr(importlib.import_module(exports[name]), name)
+        namespace[name] = value
+        return value
+    return __getattr__
+
+
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

@@ -38,17 +38,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.correlation import METRIC_ORDER
 from repro.core.metrics import MetricSet, compute_metrics
 from repro.errors import ReproError, SalvageError
-from repro.experiments.figures import FIGURES, regenerate
-from repro.experiments.registry import EXPERIMENT_SETS, SWEEPS
-from repro.experiments.runner import ExperimentScale
-from repro.system import SystemConfig
+from repro.experiments.figures import FIGURES
+from repro.experiments.registry import SWEEPS
 from repro.trace_io import ErrorPolicy, TRACE_READERS, read_trace
 from repro.util.tables import TextTable
 from repro.util.units import format_rate, format_seconds, parse_size
-from repro.workloads import HpioWorkload, IORWorkload, IOzoneWorkload
 
 
 def _render_metrics(metrics: MetricSet) -> str:
@@ -120,6 +116,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
                            spec.paper_expectation])
         print(table.render())
         return 0
+    from repro.experiments.figures import regenerate
+    from repro.experiments.runner import ExperimentScale
     scale = ExperimentScale(factor=args.scale, repetitions=args.reps)
     print(regenerate(args.figure_id, scale))
     return 0
@@ -188,6 +186,7 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(_args: argparse.Namespace) -> int:
+    from repro.experiments.registry import EXPERIMENT_SETS
     table = TextTable(["set", "knob", "paper tool", "figures",
                        "misleading metrics"])
     for spec in EXPERIMENT_SETS.values():
@@ -201,6 +200,7 @@ def _cmd_experiments(_args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import ExperimentScale
     if args.smoke:
         scale = ExperimentScale(factor=min(args.scale, 0.25),
                                 repetitions=min(args.reps, 2))
@@ -322,6 +322,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.chaos import random_chaos_schedule, run_chaos
+    from repro.experiments.runner import ExperimentScale
     from repro.util.rng import RngStream
     checks = ("grid", "serve") if args.check == "all" else (args.check,)
     scale = ExperimentScale(factor=args.scale, repetitions=args.reps)
@@ -360,6 +361,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.system import SystemConfig
+    from repro.workloads import HpioWorkload, IORWorkload, IOzoneWorkload
     config = SystemConfig(
         kind=args.kind,
         device_spec=args.device,
@@ -393,6 +396,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import generate_report
+    from repro.experiments.runner import ExperimentScale
     scale = ExperimentScale(factor=args.scale, repetitions=args.reps)
     text = generate_report(scale)
     if args.out:
@@ -405,6 +409,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from repro.system import SystemConfig
     from repro.workloads.replay_trace import TraceReplayWorkload
     policy = _error_policy(args)
     trace = read_trace(args.trace, fmt=args.format, errors=policy)

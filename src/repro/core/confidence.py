@@ -10,7 +10,7 @@ carry confidence intervals:
 - :func:`compare_cc` — are two coefficients (from independent sweeps)
   significantly different?
 
-Pure NumPy/scipy; used by the extended sweep report
+Pure standard library; used by the extended sweep report
 (:meth:`repro.core.analysis.SweepAnalysis.render_cc_table_with_ci`).
 """
 
@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import stats as _scipy_stats
+from statistics import NormalDist
 
 from repro.errors import AnalysisError
 
@@ -71,7 +70,7 @@ def fisher_ci(cc: float, n: int, *, level: float = 0.95
         return ConfidenceInterval(cc, cc, cc, n, level)
     z = _fisher_z(cc)
     se = 1.0 / math.sqrt(n - 3)
-    critical = float(_scipy_stats.norm.ppf(0.5 + level / 2.0))
+    critical = NormalDist().inv_cdf(0.5 + level / 2.0)
     return ConfidenceInterval(
         cc=cc,
         low=_inverse_fisher(z - critical * se),
@@ -99,5 +98,5 @@ def compare_cc(cc_a: float, n_a: int, cc_b: float, n_b: int,
         return cc_a != cc_b
     z = abs(_fisher_z(cc_a) - _fisher_z(cc_b))
     se = math.sqrt(1.0 / (n_a - 3) + 1.0 / (n_b - 3))
-    critical = float(_scipy_stats.norm.ppf(0.5 + level / 2.0))
+    critical = NormalDist().inv_cdf(0.5 + level / 2.0)
     return z > critical * se

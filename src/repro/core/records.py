@@ -385,8 +385,13 @@ class TraceCollection:
             raise AnalysisError("negative record size in nbytes column")
         if np.any(retries_arr < 0):
             raise AnalysisError("negative retry count in retries column")
-        if np.any(np.isnan(start_arr)) or np.any(np.isnan(end_arr)):
-            raise AnalysisError("NaN timestamps in trace columns")
+        finite = np.isfinite(start_arr) & np.isfinite(end_arr)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise AnalysisError(
+                f"record {bad} has non-finite timestamps: "
+                f"[{start_arr[bad]}, {end_arr[bad]}]"
+            )
         if np.any(end_arr < start_arr):
             bad = int(np.argmax(end_arr < start_arr))
             raise AnalysisError(
@@ -401,8 +406,10 @@ class TraceCollection:
                 return np.full(n, interner.code(values), dtype=np.int32)
             # Sequence: keep the raw string array and defer interning
             # until codes are actually needed (queries that never read
-            # this column never pay for it).
-            arr = np.asarray(values)
+            # this column never pay for it).  A Python sequence becomes
+            # an object array: a NumPy ``<U`` array drops trailing NULs.
+            arr = values if isinstance(values, np.ndarray) \
+                else np.asarray(values, dtype=object)
             if arr.shape != (n,):
                 raise AnalysisError(
                     f"column length {arr.shape} != ({n},)")
@@ -513,7 +520,12 @@ class TraceCollection:
     def _cat_mask(self, name: str, value: str) -> np.ndarray:
         column = self._col(name)  # consolidates, interning tail values
         if name in self._raw_cats:
-            return column == value  # one C-level pass, no interning
+            # One C-level pass, no interning.  NumPy casts a str scalar
+            # to ``<U``, which drops trailing NULs, so an object column
+            # is compared with an object scalar.
+            if column.dtype == object:
+                value = np.array(value, dtype=object)
+            return column == value
         code = self._interner_for(name).lookup(value)
         if code is None:
             return np.zeros(column.shape[0], dtype=bool)

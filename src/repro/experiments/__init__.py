@@ -10,34 +10,31 @@ the callables that regenerate them; :mod:`repro.experiments.registry`
 is the machine-readable Table 2 plus ``SWEEPS``, every sweep by name.
 """
 
-from repro.experiments.registry import EXPERIMENT_SETS, ExperimentSpec
-from repro.experiments.runner import SweepSpec, run_sweep, ExperimentScale
-from repro.experiments.set1 import run_set1
-from repro.experiments.set2 import run_set2
-from repro.experiments.set3 import run_set3_pure, run_set3_ior
-from repro.experiments.set4 import run_set4
-from repro.experiments.set5 import run_set5
-from repro.experiments.set6 import run_set6, compare_policies
-from repro.experiments.figures import FIGURES, regenerate, FigureSpec
-from repro.experiments.summary import run_summary, SummaryResult
+from repro import _lazy_exports
 
-__all__ = [
-    "EXPERIMENT_SETS",
-    "ExperimentSpec",
-    "SweepSpec",
-    "run_sweep",
-    "ExperimentScale",
-    "run_set1",
-    "run_set2",
-    "run_set3_pure",
-    "run_set3_ior",
-    "run_set4",
-    "run_set5",
-    "run_set6",
-    "compare_policies",
-    "FIGURES",
-    "FigureSpec",
-    "regenerate",
-    "run_summary",
-    "SummaryResult",
-]
+#: Every public name and the module it is imported from on first use
+#: (PEP 562), so importing the registry runs no ``setN`` module.
+_EXPORTS = {
+    "EXPERIMENT_SETS": "repro.experiments.registry",
+    "ExperimentSpec": "repro.experiments.registry",
+    "SweepSpec": "repro.experiments.runner",
+    "run_sweep": "repro.experiments.runner",
+    "ExperimentScale": "repro.experiments.runner",
+    "run_set1": "repro.experiments.set1",
+    "run_set2": "repro.experiments.set2",
+    "run_set3_pure": "repro.experiments.set3",
+    "run_set3_ior": "repro.experiments.set3",
+    "run_set4": "repro.experiments.set4",
+    "run_set5": "repro.experiments.set5",
+    "run_set6": "repro.experiments.set6",
+    "compare_policies": "repro.experiments.set6",
+    "FIGURES": "repro.experiments.figures",
+    "FigureSpec": "repro.experiments.figures",
+    "regenerate": "repro.experiments.figures",
+    "run_summary": "repro.experiments.summary",
+    "SummaryResult": "repro.experiments.summary",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

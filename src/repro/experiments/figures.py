@@ -12,14 +12,16 @@ registry, so the per-experiment index in DESIGN.md stays honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.correlation import EXPECTED_DIRECTIONS
 from repro.errors import ExperimentError
 from repro.experiments.registry import EXPERIMENT_SETS, SweepGetter, sweeps_at
-from repro.experiments.runner import ExperimentScale
 from repro.experiments.summary import summarize
 from repro.util.tables import TextTable
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import ExperimentScale
 
 
 @dataclass(frozen=True)
@@ -242,6 +244,7 @@ FIGURES: dict[str, FigureSpec] = {
 def regenerate(figure_id: str,
                scale: ExperimentScale | None = None) -> str:
     """Produce one paper artifact, running each sweep it needs once."""
+    from repro.experiments.runner import ExperimentScale
     try:
         spec = FIGURES[figure_id]
     except KeyError:

@@ -7,17 +7,13 @@ paper used, our workload class, and the paper figures the set produces.
 from __future__ import annotations
 
 import functools
+import importlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.core.analysis import SweepAnalysis
-from repro.experiments.runner import ExperimentScale
-from repro.experiments.set1 import run_set1
-from repro.experiments.set2 import run_set2
-from repro.experiments.set3 import run_set3_ior, run_set3_pure
-from repro.experiments.set4 import run_set4
-from repro.experiments.set5 import run_set5
-from repro.experiments.set6 import run_set6
+if TYPE_CHECKING:
+    from repro.core.analysis import SweepAnalysis
+    from repro.experiments.runner import ExperimentScale
 
 
 @dataclass(frozen=True)
@@ -73,21 +69,32 @@ EXPERIMENT_SETS: dict[int, ExperimentSpec] = {
 }
 
 
-#: Every sweep by its ``bps sweep`` name.  Each runner is a ``run_setN``
-#: and so calls ``run_sweep`` through its own module's binding.
+def _runner(module: str, function: str, *args: str
+            ) -> Callable[..., SweepAnalysis]:
+    """Run ``repro.experiments.<module>.<function>(*args, scale, ...)``,
+    importing the module when the sweep runs, not when this one is."""
+    def run(scale: ExperimentScale, **kwargs) -> SweepAnalysis:
+        set_module = importlib.import_module(f"repro.experiments.{module}")
+        return getattr(set_module, function)(*args, scale, **kwargs)
+    return run
+
+
+#: Every sweep by its ``bps sweep`` name.  Each runner imports its
+#: ``setN`` module when it runs and calls its ``run_setN``, so every
+#: sweep calls ``run_sweep`` through its own module's binding.
 SWEEPS: dict[str, Callable[..., SweepAnalysis]] = {
-    "set1": run_set1,
-    "set2-hdd": functools.partial(run_set2, "hdd"),
-    "set2-ssd": functools.partial(run_set2, "ssd"),
-    "set3-pure": run_set3_pure,
-    "set3-ior": run_set3_ior,
-    "set4": run_set4,
-    "set5": run_set5,
-    "set6": run_set6,
+    "set1": _runner("set1", "run_set1"),
+    "set2-hdd": _runner("set2", "run_set2", "hdd"),
+    "set2-ssd": _runner("set2", "run_set2", "ssd"),
+    "set3-pure": _runner("set3", "run_set3_pure"),
+    "set3-ior": _runner("set3", "run_set3_ior"),
+    "set4": _runner("set4", "run_set4"),
+    "set5": _runner("set5", "run_set5"),
+    "set6": _runner("set6", "run_set6"),
 }
 
 #: ``sweep(name)`` returns the analysis of the named :data:`SWEEPS` run.
-SweepGetter = Callable[[str], SweepAnalysis]
+SweepGetter = Callable[[str], "SweepAnalysis"]
 
 
 def sweeps_at(scale: ExperimentScale) -> SweepGetter:

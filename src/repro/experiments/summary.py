@@ -13,11 +13,14 @@ direction was correct, and the average correlation strength.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.correlation import METRIC_ORDER, CorrelationResult
 from repro.experiments.registry import SweepGetter, sweeps_at
-from repro.experiments.runner import ExperimentScale
 from repro.util.tables import TextTable
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import ExperimentScale
 
 #: Paper-quoted overall BPS correlation for EXPERIMENTS.md.
 PAPER_BPS_OVERALL_CC = 0.91
@@ -99,4 +102,5 @@ def summarize(sweep: SweepGetter) -> SummaryResult:
 
 def run_summary(scale: ExperimentScale | None = None) -> SummaryResult:
     """Run all six CC sweeps once each and aggregate."""
+    from repro.experiments.runner import ExperimentScale
     return summarize(sweeps_at(scale or ExperimentScale()))

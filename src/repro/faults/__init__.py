@@ -17,35 +17,21 @@ at its start and recovery times, flipping the corresponding hook
 factors).
 """
 
-from repro.faults.plan import (
-    DEVICE_DEGRADE,
-    DEVICE_FAULTS,
-    FAULT_KINDS,
-    FaultEvent,
-    FaultPlan,
-    LINK_DOWN,
-    LINK_LATENCY,
-    SERVER_CRASH,
-    SERVER_SLOWDOWN,
-    STRAGGLER,
-    random_fault_plan,
-)
-from repro.faults.state import FaultState
-from repro.faults.injector import FaultPlanInjector, arm_fault_plan
+from repro import _lazy_exports
 
-__all__ = [
-    "DEVICE_DEGRADE",
-    "DEVICE_FAULTS",
-    "FAULT_KINDS",
-    "FaultEvent",
-    "FaultPlan",
-    "FaultPlanInjector",
-    "FaultState",
-    "LINK_DOWN",
-    "LINK_LATENCY",
-    "SERVER_CRASH",
-    "SERVER_SLOWDOWN",
-    "STRAGGLER",
-    "arm_fault_plan",
-    "random_fault_plan",
-]
+#: Every public name and the module it is imported from on first use
+#: (PEP 562), so reading a plan does not load the simulator.
+_EXPORTS = {
+    **dict.fromkeys((
+        "DEVICE_DEGRADE", "DEVICE_FAULTS", "FAULT_KINDS", "FaultEvent",
+        "FaultPlan", "LINK_DOWN", "LINK_LATENCY", "SERVER_CRASH",
+        "SERVER_SLOWDOWN", "STRAGGLER", "random_fault_plan"),
+        "repro.faults.plan"),
+    "FaultState": "repro.faults.state",
+    "FaultPlanInjector": "repro.faults.injector",
+    "arm_fault_plan": "repro.faults.injector",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

@@ -259,6 +259,31 @@ class TestFromArrays:
             TraceCollection.from_arrays(pid=[1, 2], nbytes=[1],
                                         start=[0.0, 0.0], end=[1.0, 1.0])
 
+    @pytest.mark.parametrize("column", ["start", "end"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamps_name_the_first_bad_row(self, column,
+                                                           bad):
+        times = {"start": [0.0, 0.5, 0.5], "end": [1.0, 2.0, 2.0]}
+        times[column][1] = times[column][2] = bad
+        with pytest.raises(AnalysisError, match="record 1 has non-finite"):
+            TraceCollection.from_arrays(pid=[0, 0, 0], nbytes=[512] * 3,
+                                        **times)
+
+    def test_string_columns_round_trip_exactly(self):
+        # A NumPy ``<U`` array would drop the trailing NULs.
+        values = ["read\x00", "w\U0001F600", "\x00\x00", ""]
+        trace = TraceCollection.from_arrays(
+            pid=[0] * 4, nbytes=[512] * 4, start=[0.0] * 4, end=[1.0] * 4,
+            op=values, file=values[::-1], layer=values)
+        columns = trace.to_columns()
+        assert columns["op"] == columns["layer"] == values
+        assert columns["file"] == values[::-1]
+        assert [r.op for r in trace] == values
+        assert [len(trace.for_op(value)) for value in values] == [1] * 4
+        # Gathering interns the raw columns.
+        gathered = TraceCollection.gather([trace, trace]).to_columns()
+        assert gathered["op"] == values * 2
+
     @given(record_lists)
     def test_matches_record_ingest(self, recs):
         by_rows = TraceCollection(recs)

@@ -1,5 +1,7 @@
 """Fisher-z confidence machinery for correlation coefficients."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,6 +57,30 @@ class TestFisherCI:
         interval = fisher_ci(cc, n)
         assert interval.low <= cc <= interval.high
         assert -1.0 <= interval.low <= interval.high <= 1.0
+
+
+#: Textbook two-sided normal critical values z_L for level L.
+CRITICAL_Z = {0.90: 1.6448536269514722, 0.95: 1.959963984540054,
+              0.99: 2.5758293035489004}
+
+
+@pytest.mark.parametrize("level", sorted(CRITICAL_Z))
+class TestCriticalValues:
+    def test_fisher_ci_at_zero(self, level):
+        n = 12
+        half = math.tanh(CRITICAL_Z[level] / math.sqrt(n - 3))
+        interval = fisher_ci(0.0, n, level=level)
+        assert interval.low == pytest.approx(-half, rel=1e-12)
+        assert interval.high == pytest.approx(half, rel=1e-12)
+
+    def test_compare_cc_threshold(self, level):
+        # Equal n: the test rejects once |z_a - z_b| > z_L * sqrt(2/(n-3)).
+        n = 12
+        threshold = CRITICAL_Z[level] * math.sqrt(2.0 / (n - 3))
+        below = math.tanh(threshold * (1.0 - 1e-12))
+        above = math.tanh(threshold * (1.0 + 1e-12))
+        assert not compare_cc(below, n, 0.0, n, level=level)
+        assert compare_cc(above, n, 0.0, n, level=level)
 
 
 class TestSignificance:

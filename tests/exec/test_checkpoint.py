@@ -120,6 +120,19 @@ class TestMeasurementPayload:
              r.success, r.layer, r.retries) for r in original.trace
         ]
 
+    def test_resumed_strings_are_exact(self):
+        values = ["read\x00", "w\U0001F600"]
+        trace = TraceCollection([
+            IORecord(pid=1, op=value, nbytes=512, start=0.0, end=1.0,
+                     file=value, layer=value)
+            for value in values])
+        original = RunMeasurement(trace=trace, exec_time=1.0, fs_bytes=0)
+        payload = json.loads(json.dumps(
+            measurement_to_payload(original)))
+        restored = measurement_from_payload(payload).trace.to_columns()
+        assert restored == trace.to_columns()
+        assert restored["op"] == restored["file"] == values
+
     def test_payload_is_columnar(self):
         payload = measurement_to_payload(self.make_measurement())
         assert set(payload["columns"]) == {
